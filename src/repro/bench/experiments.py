@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -1097,31 +1098,72 @@ def run_batch_throughput(
 # ---------------------------------------------------------------------------
 
 
-def _noop_check_cost(iterations: int = 200_000) -> float:
-    """Seconds per disabled-mode instrumentation check.
+def _disabled_costs(iterations: int = 100_000, repeats: int = 5) -> Dict[str, float]:
+    """Seconds each kind of disabled instrumentation adds (best of ``repeats``).
 
-    Measures a loop over ``if OBS.enabled`` / ``if OBS.tracing`` pairs
-    minus the same loop with nothing in the body, clamped at zero (the
-    difference is near timer resolution on fast machines).
+    - ``check``: one ``if OBS.enabled`` slot check (metric and event sites);
+    - ``decorator``: a three-argument call through a phase-decorated
+      function, over calling the function directly;
+    - ``with``: a ``with obs.phase(...)`` block carrying two attributes,
+      over an empty loop body.
+
+    Three arguments and two attributes are the most any per-record
+    decorated site or ``with`` site on the benchmark workloads passes.
+    Costs are clamped at zero (they near timer resolution on fast hosts).
     """
-    from repro.obs import OBS
+    import timeit
 
-    r = range(iterations)
+    from repro import obs
 
-    start = time.perf_counter()
-    for _ in r:
-        pass
-    empty_s = time.perf_counter() - start
+    def plain(first, second, third):
+        return first
 
-    start = time.perf_counter()
-    for _ in r:
-        if OBS.enabled:
-            raise AssertionError("must be disabled during the microbench")
-        if OBS.tracing:
-            raise AssertionError("must be disabled during the microbench")
-    checked_s = time.perf_counter() - start
+    if obs.OBS.enabled or obs.PHASES["hash"].live or obs.PHASES["verify.chain"].live:
+        raise AssertionError("observability must be off during the microbench")
+    scope = {
+        "obs": obs, "OBS": obs.OBS, "plain": plain,
+        "decorated": obs.phase("hash")(plain),
+    }
 
-    return max(0.0, (checked_s - empty_s) / iterations / 2)
+    def per_loop(body: str) -> float:
+        runs = timeit.repeat(body, number=iterations, repeat=repeats, globals=scope)
+        return min(runs) / iterations
+
+    empty = per_loop("pass")
+    block = "with obs.phase('verify.chain', object_id='x', records=1): pass"
+    return {
+        "check": max(0.0, per_loop("if OBS.enabled: pass") - empty),
+        "decorator": max(
+            0.0, per_loop("decorated(1, 2, 3)") - per_loop("plain(1, 2, 3)")
+        ),
+        "with": max(0.0, per_loop(block) - empty),
+    }
+
+
+def _phase_entries(workload: Callable[[], None]) -> Dict[str, int]:
+    """``obs.phase`` entries one untimed run of ``workload`` makes, per
+    spelling, counted exactly by a call hook: calls of the wrapper code
+    that every decorated function shares, and calls of ``obs.phase``."""
+    from repro import obs
+
+    wrapper_code = obs.phase("hash")(len).__code__
+    phase_code = obs.phase.__code__
+    counts = {"decorator": 0, "with": 0}
+
+    def hook(frame, event, arg) -> None:
+        if event == "call":
+            code = frame.f_code
+            if code is wrapper_code:
+                counts["decorator"] += 1
+            elif code is phase_code:
+                counts["with"] += 1
+
+    sys.setprofile(hook)
+    try:
+        workload()
+    finally:
+        sys.setprofile(None)
+    return counts
 
 
 def run_obs_overhead(
@@ -1138,16 +1180,22 @@ def run_obs_overhead(
     path) and a serial chain verification — each run with observability
     off and on.  The *disabled*-mode overhead versus a hypothetical
     uninstrumented build cannot be timed directly (the uninstrumented
-    code no longer exists), so it is bounded from above: count the
-    instrumentation sites the enabled run fires (``registry.calls``, one
-    per metric accessor hit, a strict overestimate of the disabled-mode
-    branch checks on the same path), multiply by the measured cost of one
-    ``if OBS.enabled`` check, and divide by the disabled-run wall time.
+    code no longer exists), so it is bounded from above as the sum of
+    two terms, each divided by the disabled-run wall time:
+
+    - *metrics*: the metric-accessor hits of the metrics-on run
+      (``registry.calls``, a strict overestimate of the disabled-mode
+      ``if OBS.enabled`` checks on the same path) times the measured
+      cost of one such check;
+    - *phases*: the :func:`repro.obs.phase` entries the disabled run
+      makes, counted per spelling (decorated call or ``with`` block),
+      each priced at the measured disabled cost of one entry in that
+      spelling.
+
     A third arm runs each workload with the phase profiler attached
-    (metrics off): its call count bounds the profiler's disabled-mode
-    ``OBS.profiler is None`` checks the same way, and the guarded bound
-    is the *sum* of both layers' bounds.  The guard fails the benchmark
-    when that bound exceeds ``max_disabled_overhead`` (default 2%).
+    (metrics off) and reports its time and phase calls.  The guard
+    fails the benchmark when the bound exceeds ``max_disabled_overhead``
+    (default 2%) on either workload.
     """
     import os
     import tempfile
@@ -1178,7 +1226,9 @@ def run_obs_overhead(
     def verify_workload() -> None:
         verifier.verify_records(verify_records)
 
-    check_s = _noop_check_cost()
+    costs = _disabled_costs()
+    check_s = costs.pop("check")
+    entry_s = costs
 
     arms = {}
     for name, workload in (("append", append_workload), ("verify", verify_workload)):
@@ -1192,18 +1242,16 @@ def run_obs_overhead(
         calls = obs.OBS.registry.calls / max(1, runs)
         obs.disable(reset=True)
 
-        # Profiler arm: metrics off, phase profiler on.  The call count
-        # is exactly how many `OBS.profiler is None` checks the disabled
-        # path performs on the same workload, so it bounds the profiler's
-        # disabled-mode cost the same way `registry.calls` bounds the
-        # metrics layer's.
+        # Profiler arm: metrics off, phase profiler on.
         prof = obs.enable_profile(reset=True)
         prof_on_s = min(measure(workload, runs=runs).samples)
         profile_calls = prof.total_calls() / max(1, runs)
         obs.disable_profile()
 
+        entries = _phase_entries(workload)
+        phase_s = sum(entries[spelling] * entry_s[spelling] for spelling in entries)
         metrics_bound = (calls * check_s) / off_s if off_s else 0.0
-        profiler_bound = (profile_calls * check_s) / off_s if off_s else 0.0
+        profiler_bound = phase_s / off_s if off_s else 0.0
         disabled_bound = metrics_bound + profiler_bound
         enabled_delta = (on_s - off_s) / off_s if off_s else 0.0
         arms[name] = {
@@ -1213,6 +1261,7 @@ def run_obs_overhead(
             "enabled_delta": enabled_delta,
             "registry_calls": calls,
             "profile_calls": profile_calls,
+            "phase_entries": entries,
             "metrics_disabled_bound": metrics_bound,
             "profiler_disabled_bound": profiler_bound,
             "disabled_overhead_bound": disabled_bound,
@@ -1229,10 +1278,12 @@ def run_obs_overhead(
     worst_bound = max(arm["disabled_overhead_bound"] for arm in arms.values())
     guard_ok = worst_bound <= max_disabled_overhead
     result.note(
-        f"one disabled check costs ~{check_s * 1e9:.1f} ns; the disabled "
-        "bound assumes every metric-accessor hit and every profiler phase "
-        "entry were a branch check on the disabled path (a strict "
-        "overestimate)"
+        f"one disabled metrics check costs ~{check_s * 1e9:.1f} ns and one "
+        f"disabled phase entry ~{entry_s['decorator'] * 1e9:.0f} ns "
+        f"(decorated call) / ~{entry_s['with'] * 1e9:.0f} ns (with block); "
+        "the disabled bound prices every metric-accessor hit as a check "
+        "(a strict overestimate) and every phase entry the disabled run "
+        "makes at its spelling's cost"
     )
     result.note(
         f"GUARD {'OK' if guard_ok else 'FAILED'}: worst disabled-mode bound "
@@ -1248,6 +1299,9 @@ def run_obs_overhead(
             "key_bits": key_bits,
         },
         "noop_check_ns": check_s * 1e9,
+        "phase_entry_ns": {
+            spelling: cost * 1e9 for spelling, cost in entry_s.items()
+        },
         "arms": arms,
         "guard": {
             "max_disabled_overhead": max_disabled_overhead,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.backend.events import AggregateEvent, DeleteEvent, OperationEvent
 from repro.backend.interface import ForestStore
 from repro.crypto.hashing import get_algorithm
@@ -71,6 +72,7 @@ def _node_digest(
     return h.digest()
 
 
+@obs.phase("hash")
 def _walk_digests(
     store: ForestStore, root_id: str, algorithm_name: str
 ) -> Dict[str, _Entry]:
@@ -79,16 +81,6 @@ def _walk_digests(
     Iterative postorder so arbitrarily deep trees don't hit the recursion
     limit.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _walk_digests_impl(store, root_id, algorithm_name)
-    with prof.phase("hash"):
-        return _walk_digests_impl(store, root_id, algorithm_name)
-
-
-def _walk_digests_impl(
-    store: ForestStore, root_id: str, algorithm_name: str
-) -> Dict[str, _Entry]:
     algorithm = get_algorithm(algorithm_name)
     out: Dict[str, _Entry] = {}
     # (object_id, expanded?) — classic two-phase DFS
@@ -465,13 +457,10 @@ _BATCH_LEAF_PREFIX = b"\x00"
 _BATCH_NODE_PREFIX = b"\x01"
 
 
+@obs.phase("merkle.leaf")
 def batch_leaf(data: bytes, algorithm: str = "sha1") -> bytes:
     """Leaf digest ``h(0x00 || data)`` of one batch entry."""
-    prof = OBS.profiler
-    if prof is None:
-        return get_algorithm(algorithm).digest(_BATCH_LEAF_PREFIX + data)
-    with prof.phase("merkle.leaf"):
-        return get_algorithm(algorithm).digest(_BATCH_LEAF_PREFIX + data)
+    return get_algorithm(algorithm).digest(_BATCH_LEAF_PREFIX + data)
 
 
 def _batch_levels(leaves: Sequence[bytes], algorithm: str) -> List[List[bytes]]:
@@ -492,15 +481,13 @@ def _batch_levels(leaves: Sequence[bytes], algorithm: str) -> List[List[bytes]]:
     return levels
 
 
+@obs.phase("merkle.root")
 def batch_root(leaves: Sequence[bytes], algorithm: str = "sha1") -> bytes:
     """Merkle root over ``leaves`` (a single leaf is its own root)."""
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_levels(leaves, algorithm)[-1][0]
-    with prof.phase("merkle.root"):
-        return _batch_levels(leaves, algorithm)[-1][0]
+    return _batch_levels(leaves, algorithm)[-1][0]
 
 
+@obs.phase("merkle.path")
 def batch_audit_paths(
     leaves: Sequence[bytes], algorithm: str = "sha1"
 ) -> List[Tuple[bytes, ...]]:
@@ -509,16 +496,6 @@ def batch_audit_paths(
     One tree construction serves the whole batch — this is what the
     batch signer calls at flush time.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_audit_paths_impl(leaves, algorithm)
-    with prof.phase("merkle.path"):
-        return _batch_audit_paths_impl(leaves, algorithm)
-
-
-def _batch_audit_paths_impl(
-    leaves: Sequence[bytes], algorithm: str
-) -> List[Tuple[bytes, ...]]:
     levels = _batch_levels(leaves, algorithm)
     paths: List[Tuple[bytes, ...]] = []
     for index in range(len(levels[0])):
@@ -542,6 +519,7 @@ def batch_audit_path(
     return batch_audit_paths(leaves, algorithm)[index]
 
 
+@obs.phase("merkle.path")
 def resolve_batch_root(
     leaf: bytes,
     index: int,
@@ -559,20 +537,6 @@ def resolve_batch_root(
         ProvenanceError: If ``index``/``count`` are out of range or the
             path length does not match the tree shape.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _resolve_batch_root_impl(leaf, index, count, path, algorithm)
-    with prof.phase("merkle.path"):
-        return _resolve_batch_root_impl(leaf, index, count, path, algorithm)
-
-
-def _resolve_batch_root_impl(
-    leaf: bytes,
-    index: int,
-    count: int,
-    path: Sequence[bytes],
-    algorithm: str,
-) -> bytes:
     if count < 1 or not 0 <= index < count:
         raise ProvenanceError(
             f"invalid batch position: index {index}, count {count}"

@@ -18,7 +18,6 @@ evidence violates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -216,7 +215,7 @@ class Verifier:
                 defaults to the snapshot root.
         """
         target = target_id if target_id is not None else snapshot.root_id
-        with obs.span("verify", target=target, records=len(records)):
+        with obs.phase("verify", target=target, records=len(records)):
             failures = _Failures()
             chains = self._index(records, failures)
 
@@ -237,7 +236,7 @@ class Verifier:
         self, records: Sequence[ProvenanceRecord]
     ) -> VerificationReport:
         """Verify checksum chains only (no data object at hand)."""
-        with obs.span("verify", records=len(records)):
+        with obs.phase("verify", records=len(records)):
             failures = _Failures()
             chains = self._index(records, failures)
             checked = self._check_chains(chains, failures)
@@ -266,7 +265,7 @@ class Verifier:
         re-validating the watermark *anchor* before trusting a nonzero
         skip; given a sound anchor, the failures reported for the suffix
         are byte-identical to the corresponding slice of a full
-        :meth:`verify_records` run (see ``_check_chain_impl``).
+        :meth:`verify_records` run (see ``_check_chain``).
 
         Suffix walks are always serial (suffixes are short by
         construction); cold and full passes should use
@@ -279,7 +278,7 @@ class Verifier:
         the *same* logical verification pass, and observing it twice
         would double-count failures.
         """
-        with obs.span("verify", records=len(records), incremental=True):
+        with obs.phase("verify", records=len(records), incremental=True):
             failures = _Failures()
             chains = self._index(records, failures)
             checked = 0
@@ -374,72 +373,37 @@ class Verifier:
         chains — so distinct chains may be checked concurrently against
         the same ``chains`` index.
         """
-        prof = OBS.profiler
-        if prof is None:
-            return self._check_chain_observed(chain, chains, failures, start)
-        with prof.phase("verify.chain"):
-            return self._check_chain_observed(chain, chains, failures, start)
-
-    def _check_chain_observed(
-        self,
-        chain: List[ProvenanceRecord],
-        chains: Dict[str, List[ProvenanceRecord]],
-        failures: _Failures,
-        start: int = 0,
-    ) -> int:
-        observing = OBS.enabled
-        if not observing and not OBS.tracing:
-            return self._check_chain_impl(chain, chains, failures, start)
-        began = perf_counter()
-        trace_id: Optional[str] = None
-        if OBS.tracing:
-            with OBS.tracer.span(
-                "verify.chain",
-                object_id=chain[0].object_id if chain else "?",
-                records=len(chain) - start,
-            ) as span:
-                checked = self._check_chain_impl(chain, chains, failures, start)
-            trace_id = span.trace_id
-        else:
-            checked = self._check_chain_impl(chain, chains, failures, start)
-        if observing:
-            # The exemplar makes the histogram's worst case actionable:
-            # its trace id names the slowest sampled chain verification.
-            OBS.registry.histogram("verify.chain.seconds").observe(
-                perf_counter() - began, exemplar=trace_id
+        with obs.phase(
+            "verify.chain",
+            object_id=chain[0].object_id if chain else "?",
+            records=len(chain) - start,
+        ):
+            checked = 0
+            # Seeding ``previous`` with the last covered record makes a
+            # suffix walk from ``start`` perform exactly the checks a full
+            # walk performs on those records (the walk's only carried
+            # state is ``previous``) — the incremental monitor's
+            # equivalence guarantee rests on this line.
+            previous: Optional[ProvenanceRecord] = (
+                chain[start - 1] if start > 0 else None
             )
-        return checked
-
-    def _check_chain_impl(
-        self,
-        chain: List[ProvenanceRecord],
-        chains: Dict[str, List[ProvenanceRecord]],
-        failures: _Failures,
-        start: int = 0,
-    ) -> int:
-        checked = 0
-        # Seeding ``previous`` with the last covered record makes a
-        # suffix walk from ``start`` perform exactly the checks a full
-        # walk performs on those records (the walk's only carried state
-        # is ``previous``) — the incremental monitor's equivalence
-        # guarantee rests on this line.
-        previous: Optional[ProvenanceRecord] = (
-            chain[start - 1] if start > 0 else None
-        )
-        for record in chain[start:]:
-            checked += 1
-            self._check_inline_values(record, failures)
-            prev_checksums = self._resolve_predecessors(
-                record, previous, chains, failures
-            )
-            if prev_checksums is None:
+            for record in chain[start:]:
+                checked += 1
+                self._check_inline_values(record, failures)
+                prev_checksums = self._resolve_predecessors(
+                    record, previous, chains, failures
+                )
+                if prev_checksums is None:
+                    previous = record
+                    continue  # structural failure already reported
+                self._verify_signature(record, prev_checksums, failures)
+                if (
+                    record.transfer is not None
+                    or record.operation is Operation.TRANSFER
+                ):
+                    self._check_custody(record, previous, failures)
                 previous = record
-                continue  # structural failure already reported
-            self._verify_signature(record, prev_checksums, failures)
-            if record.transfer is not None or record.operation is Operation.TRANSFER:
-                self._check_custody(record, previous, failures)
-            previous = record
-        return checked
+            return checked
 
     def _check_inline_values(
         self, record: ProvenanceRecord, failures: _Failures
@@ -788,38 +752,19 @@ def _check_chain_chunk(task):
             _fire_worker_fault(rule, chunk_index)
     failures = _Failures()
     checked = 0
-    observing = OBS.enabled
-    if observing:
-        # Fresh registry per chunk so each result carries a delta, not the
-        # worker's cumulative totals (one worker may process many chunks).
-        from repro.obs.metrics import MetricsRegistry
+    try:
+        with obs.phase("verify.worker", chunk_size=len(object_ids)) as span:
+            if span is not None:
+                import os
 
-        OBS.registry = MetricsRegistry()
-    prof = OBS.profiler
-    if prof is not None:
-        # Same delta discipline for the phase profiler.
-        from repro.obs.profile import PhaseProfiler
-
-        prof = OBS.profiler = PhaseProfiler(sample_every=prof.sample_every)
-    start = perf_counter()
-    if OBS.tracing:
-        import os
-
-        with OBS.tracer.span(
-            "verify.worker", chunk_size=len(object_ids)
-        ) as span:
-            span.worker_pid = os.getpid()
+                span.worker_pid = os.getpid()
             for object_id in object_ids:
                 checked += verifier._check_chain(chains[object_id], chains, failures)
-        span_dicts = OBS.tracer.drain()
-    else:
-        for object_id in object_ids:
-            checked += verifier._check_chain(chains[object_id], chains, failures)
-        span_dicts = []
-    elapsed = perf_counter() - start
-    metrics_dump = OBS.registry.dump() if observing else None
-    profile_dump = prof.dump() if prof is not None else None
-    return failures.items, checked, elapsed, metrics_dump, span_dicts, profile_dump
+    finally:
+        # Always restart the sinks empty, so a chunk that raised midway
+        # cannot leak its partial counts into the next chunk's delta.
+        delta = obs.capture_worker_delta()
+    return failures.items, checked, delta
 
 
 class ParallelVerifier(Verifier):
@@ -915,13 +860,12 @@ class ParallelVerifier(Verifier):
             # custom scheme, ...): verification must still succeed.
             return super()._check_chains(chains, failures)
         checked = 0
-        observing = OBS.enabled
         for chunk_index, chunk_ids, result in chunk_results:
             if result is None:
                 # The worker died (or took the pool down with it).
                 # Degrade gracefully: re-verify this chunk serially, in
                 # place, so the failure list keeps the exact serial order.
-                if observing:
+                if OBS.enabled:
                     OBS.registry.counter("verify.degraded_chunks").inc()
                 if self.faults is not None:
                     rule = self.faults.decide("verify.worker", chunk_index)
@@ -933,18 +877,12 @@ class ParallelVerifier(Verifier):
                 for object_id in chunk_ids:
                     checked += self._check_chain(chains[object_id], chains, failures)
                 continue
-            items, chunk_checked, elapsed, metrics_dump, span_dicts, profile_dump = result
+            items, chunk_checked, delta = result
             failures.items.extend(items)
             checked += chunk_checked
-            if observing:
+            if OBS.enabled:
                 OBS.registry.counter("verify.worker.chunks").inc()
-                OBS.registry.histogram("verify.worker.chunk_seconds").observe(elapsed)
-                if metrics_dump:
-                    OBS.registry.merge(metrics_dump)
-            if span_dicts and OBS.tracing:
-                OBS.tracer.adopt(span_dicts)
-            if profile_dump and OBS.profiler is not None:
-                OBS.profiler.merge(profile_dump)
+            obs.merge_worker_delta(delta)
         return checked
 
     def _run_pool(self, chains: Dict[str, List[ProvenanceRecord]]):

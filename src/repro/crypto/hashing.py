@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
 
+from repro import obs
 from repro.exceptions import UnknownHashAlgorithm
 from repro.obs import OBS
 
@@ -99,21 +100,24 @@ def available_algorithms() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+@obs.phase("hash")
 def hash_bytes(data: bytes, algorithm: str = "sha1") -> bytes:
     """Hash ``data`` with the named algorithm and return the raw digest."""
-    prof = OBS.profiler
-    if prof is not None:
-        with prof.phase("hash"):
-            digest = get_algorithm(algorithm).digest(data)
-    else:
-        digest = get_algorithm(algorithm).digest(data)
+    digest = get_algorithm(algorithm).digest(data)
     if OBS.enabled:
         OBS.registry.counter("hash.digests", algorithm=algorithm).inc()
         OBS.registry.counter("hash.bytes", algorithm=algorithm).inc(len(data))
     return digest
 
 
-def _hash_concat_impl(parts: Iterable[bytes], algorithm: str) -> bytes:
+@obs.phase("hash")
+def hash_concat(parts: Iterable[bytes], algorithm: str = "sha1") -> bytes:
+    """Hash the concatenation of ``parts``.
+
+    This is the ``h(x | y | ...)`` construction the paper uses pervasively
+    (e.g. the aggregate checksum hashes the concatenation of the input
+    hashes).  Parts are fed to the hash incrementally.
+    """
     if not OBS.enabled:
         return get_algorithm(algorithm).digest_iter(parts)
     h = get_algorithm(algorithm).new()
@@ -124,20 +128,6 @@ def _hash_concat_impl(parts: Iterable[bytes], algorithm: str) -> bytes:
     OBS.registry.counter("hash.digests", algorithm=algorithm).inc()
     OBS.registry.counter("hash.bytes", algorithm=algorithm).inc(total)
     return h.digest()
-
-
-def hash_concat(parts: Iterable[bytes], algorithm: str = "sha1") -> bytes:
-    """Hash the concatenation of ``parts``.
-
-    This is the ``h(x | y | ...)`` construction the paper uses pervasively
-    (e.g. the aggregate checksum hashes the concatenation of the input
-    hashes).  Parts are fed to the hash incrementally.
-    """
-    prof = OBS.profiler
-    if prof is None:
-        return _hash_concat_impl(parts, algorithm)
-    with prof.phase("hash"):
-        return _hash_concat_impl(parts, algorithm)
 
 
 def _register_builtins() -> None:

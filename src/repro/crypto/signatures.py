@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hmac
 import threading
-from time import perf_counter
 from typing import Optional, Protocol, Tuple, runtime_checkable
 
+from repro import obs
 from repro.crypto import pkcs1
 from repro.crypto.hashing import get_algorithm
 from repro.crypto.proofs import BatchProof, batch_root_message
@@ -105,26 +105,11 @@ class RSASignatureVerifier:
         self.public_key = public_key
         self.hash_algorithm = hash_algorithm
 
+    @obs.phase("rsa.verify", scheme=scheme_name)
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Constant-structure verify: re-encode and compare."""
-        prof = OBS.profiler
-        if prof is None:
-            return self._verify_metered(message, signature)
-        with prof.phase("rsa.verify"):
-            return self._verify_metered(message, signature)
-
-    def _verify_metered(self, message: bytes, signature: bytes) -> bool:
         if OBS.enabled:
-            start = perf_counter()
-            ok = self._verify(message, signature)
             OBS.registry.counter("crypto.verify.count", scheme=self.scheme_name).inc()
-            OBS.registry.histogram(
-                "crypto.verify.seconds", scheme=self.scheme_name
-            ).observe(perf_counter() - start)
-            return ok
-        return self._verify(message, signature)
-
-    def _verify(self, message: bytes, signature: bytes) -> bool:
         k = self.public_key.byte_size
         if len(signature) != k:
             return False
@@ -187,26 +172,11 @@ class RSASignatureScheme:
         """Modulus byte size; 128 for the paper's 1024-bit keys."""
         return self.private_key.byte_size
 
+    @obs.phase("rsa.sign", scheme=scheme_name)
     def sign(self, message: bytes) -> bytes:
         """Sign ``message``; output length is always :attr:`signature_size`."""
-        prof = OBS.profiler
-        if prof is None:
-            return self._sign_metered(message)
-        with prof.phase("rsa.sign"):
-            return self._sign_metered(message)
-
-    def _sign_metered(self, message: bytes) -> bytes:
         if OBS.enabled:
-            start = perf_counter()
-            signature = self._sign(message)
             OBS.registry.counter("crypto.sign.count", scheme=self.scheme_name).inc()
-            OBS.registry.histogram(
-                "crypto.sign.seconds", scheme=self.scheme_name
-            ).observe(perf_counter() - start)
-            return signature
-        return self._sign(message)
-
-    def _sign(self, message: bytes) -> bytes:
         k = self.private_key.byte_size
         em = pkcs1.encode(message, k, self.hash_algorithm)
         m = int.from_bytes(em, "big")
@@ -308,36 +278,26 @@ class MerkleBatchSignatureScheme:
         with self._epoch_lock:
             epoch = self._next_epoch
             self._next_epoch += 1
-        prof = OBS.profiler
-        if prof is None:
-            return self._seal_metered(batch, epoch)
-        with prof.phase("proof.build"):
-            return self._seal_metered(batch, epoch)
-
-    def _seal_metered(self, batch: list, epoch: int) -> Tuple[BatchProof, ...]:
-        start = perf_counter() if OBS.enabled else 0.0
-        _, batch_root, batch_audit_paths, _ = _batch_merkle()
-        root = batch_root(batch, self.hash_algorithm)
-        paths = batch_audit_paths(batch, self.hash_algorithm)
-        signature = self._root_signer.sign(
-            batch_root_message(epoch, len(batch), root)
-        )
-        if OBS.enabled:
-            OBS.registry.counter("crypto.batch_seal.count").inc()
-            OBS.registry.histogram("crypto.batch_seal.leaves").observe(len(batch))
-            OBS.registry.histogram("crypto.batch_seal.seconds").observe(
-                perf_counter() - start
+        with obs.phase("proof.build"):
+            _, batch_root, batch_audit_paths, _ = _batch_merkle()
+            root = batch_root(batch, self.hash_algorithm)
+            paths = batch_audit_paths(batch, self.hash_algorithm)
+            signature = self._root_signer.sign(
+                batch_root_message(epoch, len(batch), root)
             )
-        return tuple(
-            BatchProof(
-                epoch=epoch,
-                index=index,
-                count=len(batch),
-                path=paths[index],
-                root_signature=signature,
+            if OBS.enabled:
+                OBS.registry.counter("crypto.batch_seal.count").inc()
+                OBS.registry.histogram("crypto.batch_seal.leaves").observe(len(batch))
+            return tuple(
+                BatchProof(
+                    epoch=epoch,
+                    index=index,
+                    count=len(batch),
+                    path=paths[index],
+                    root_signature=signature,
+                )
+                for index in range(len(batch))
             )
-            for index in range(len(batch))
-        )
 
     def abort_batch(self) -> int:
         """Drop this thread's pending leaves (staging was aborted)."""
@@ -363,7 +323,7 @@ class MerkleBatchSignatureScheme:
         """Full check against the embedded public key (tests/tools)."""
         return _batch_proof_valid(
             self._root_signer.verifier(), message, checksum, proof,
-            self.hash_algorithm,
+            self.hash_algorithm, None, "",
         )
 
     def verifier(self) -> RSASignatureVerifier:
@@ -378,30 +338,8 @@ class MerkleBatchSignatureScheme:
         )
 
 
+@obs.phase("proof.check")
 def _batch_proof_valid(
-    key,
-    payload: bytes,
-    checksum: bytes,
-    proof: BatchProof,
-    hash_algorithm: str,
-    root_cache: Optional[dict] = None,
-    participant_id: str = "",
-) -> bool:
-    """Both halves of the Merkle-batch check (see class docstring)."""
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_proof_valid_impl(
-            key, payload, checksum, proof, hash_algorithm, root_cache,
-            participant_id,
-        )
-    with prof.phase("proof.check"):
-        return _batch_proof_valid_impl(
-            key, payload, checksum, proof, hash_algorithm, root_cache,
-            participant_id,
-        )
-
-
-def _batch_proof_valid_impl(
     key,
     payload: bytes,
     checksum: bytes,
@@ -410,6 +348,7 @@ def _batch_proof_valid_impl(
     root_cache: Optional[dict],
     participant_id: str,
 ) -> bool:
+    """Both halves of the Merkle-batch check (see class docstring)."""
     batch_leaf, _, _, resolve_batch_root = _batch_merkle()
     try:
         leaf = batch_leaf(payload, hash_algorithm)
@@ -460,7 +399,7 @@ def record_signature_valid(
     if proof is not None and record.scheme == MERKLE_BATCH_SCHEME:
         return _batch_proof_valid(
             key, payload, record.checksum, proof, record.hash_algorithm,
-            root_cache=root_cache, participant_id=record.participant_id,
+            root_cache, record.participant_id,
         )
     return key.verify(payload, record.checksum)
 
@@ -518,7 +457,7 @@ def detached_signature_valid(
     if proof is not None and scheme == MERKLE_BATCH_SCHEME:
         return _batch_proof_valid(
             key, message, signature, proof, hash_algorithm,
-            root_cache=root_cache, participant_id=participant_id,
+            root_cache, participant_id,
         )
     return key.verify(message, signature)
 

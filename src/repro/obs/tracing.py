@@ -50,13 +50,14 @@ class Span:
         trace_id: str,
         parent_id: Optional[str],
         span_id: Optional[str] = None,
+        start: Optional[float] = None,
     ):
         self.name = name
         self.attrs = attrs
         self.trace_id = trace_id
         self.span_id = span_id if span_id is not None else _new_id()
         self.parent_id = parent_id
-        self.start = time.perf_counter()
+        self.start = time.perf_counter() if start is None else start
         # Epoch seconds at open: perf_counter() has an arbitrary origin,
         # so only this field lines spans up with event-log timestamps.
         self.wall_start = time.time()
@@ -197,29 +198,35 @@ class Tracer:
         name: str,
         attrs: Dict[str, object],
         remote: Optional[TraceContext] = None,
+        now: Optional[float] = None,
     ) -> Span:
+        """Open a span under this thread's innermost one.
+
+        ``now`` is a ``perf_counter()`` reading the caller already took,
+        so one clock read can time several sinks.
+        """
         stack = self._stack()
         if stack:
             parent = stack[-1]
-            span = Span(name, attrs, parent.trace_id, parent.span_id)
+            span = Span(name, attrs, parent.trace_id, parent.span_id, start=now)
             parent.children.append(span)
         elif remote is not None:
             trace_id, parent_id = remote
-            span = Span(name, attrs, trace_id, parent_id)
+            span = Span(name, attrs, trace_id, parent_id, start=now)
             span.remote_root = True
         elif self._remote_context is not None:
             trace_id, parent_id = self._remote_context
-            span = Span(name, attrs, trace_id, parent_id)
+            span = Span(name, attrs, trace_id, parent_id, start=now)
             span.remote_root = True
         else:
-            span = Span(name, attrs, trace_id=_new_id(), parent_id=None)
+            span = Span(name, attrs, trace_id=_new_id(), parent_id=None, start=now)
         stack.append(span)
         return span
 
-    def finish(self, span: Optional[Span]) -> None:
+    def finish(self, span: Optional[Span], now: Optional[float] = None) -> None:
         if span is None:
             return
-        span.end = time.perf_counter()
+        span.end = time.perf_counter() if now is None else now
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()

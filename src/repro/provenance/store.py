@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import sqlite3
 from dataclasses import dataclass
-from time import perf_counter
 from typing import (
     Dict,
     Iterable,
@@ -28,6 +27,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro import obs
 from repro.exceptions import BackendError, ProvenanceError, SequenceError
 from repro.obs import OBS
 from repro.provenance.records import ProvenanceRecord
@@ -187,66 +187,42 @@ class InMemoryProvenanceStore:
         self._watermarks: Dict[str, VerifiedWatermark] = {}
 
     def append(self, record: ProvenanceRecord) -> None:
-        prof = OBS.profiler
-        if prof is None:
-            self._append_impl(record)
-        else:
-            with prof.phase("store.io"):
-                self._append_impl(record)
-
-    def _append_impl(self, record: ProvenanceRecord) -> None:
-        chain = self._chains.setdefault(record.object_id, [])
-        _check_append(record, self._tail(record.object_id))
-        chain.append(record)
-        self._count += 1
-        self._space += record.storage_bytes()
-        if OBS.enabled:
-            OBS.registry.counter("store.append.records", store="memory").inc()
+        with obs.phase("store.io"):
+            chain = self._chains.setdefault(record.object_id, [])
+            _check_append(record, self._tail(record.object_id))
+            chain.append(record)
+            self._count += 1
+            self._space += record.storage_bytes()
+            if OBS.enabled:
+                OBS.registry.counter("store.append.records", store="memory").inc()
 
     def append_many(self, records: Iterable[ProvenanceRecord]) -> None:
         batch = list(records)
         if not batch:
             return
-        if OBS.tracing:
-            with OBS.tracer.span("store.batch", store="memory", records=len(batch)):
-                self._append_many_profiled(batch)
-            return
-        self._append_many_profiled(batch)
-
-    def _append_many_profiled(self, batch: List[ProvenanceRecord]) -> None:
-        prof = OBS.profiler
-        if prof is None:
-            self._append_many_impl(batch)
-        else:
-            with prof.phase("store.io"):
-                self._append_many_impl(batch)
-
-    def _append_many_impl(self, batch: List[ProvenanceRecord]) -> None:
-        _check_batch(batch, self._tail)  # validate-then-apply: atomic
-        for record in batch:
-            self._chains.setdefault(record.object_id, []).append(record)
-            self._count += 1
-            self._space += record.storage_bytes()
-        prof = OBS.profiler
-        if prof is None:
-            entry = self._journal_entry(batch, committed=True)
-        else:
-            with prof.phase("journal"):
+        with obs.phase("store.batch", store="memory", records=len(batch)), \
+                obs.phase("store.io"):
+            _check_batch(batch, self._tail)  # validate-then-apply: atomic
+            for record in batch:
+                self._chains.setdefault(record.object_id, []).append(record)
+                self._count += 1
+                self._space += record.storage_bytes()
+            with obs.phase("journal"):
                 entry = self._journal_entry(batch, committed=True)
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter("store.append.batches", store="memory").inc()
-            reg.counter("store.append.records", store="memory").inc(len(batch))
-            reg.histogram("store.batch.size", store="memory").observe(len(batch))
-        log = OBS.events
-        if log is not None:
-            log.emit(
-                "store.batch",
-                store="memory",
-                batch_id=entry.batch_id,
-                records=len(batch),
-                objects=len({record.object_id for record in batch}),
-            )
+            if OBS.enabled:
+                reg = OBS.registry
+                reg.counter("store.append.batches", store="memory").inc()
+                reg.counter("store.append.records", store="memory").inc(len(batch))
+                reg.histogram("store.batch.size", store="memory").observe(len(batch))
+            log = OBS.events
+            if log is not None:
+                log.emit(
+                    "store.batch",
+                    store="memory",
+                    batch_id=entry.batch_id,
+                    records=len(batch),
+                    objects=len({record.object_id for record in batch}),
+                )
 
     # ------------------------------------------------------------------
     # batch journal / crash-recovery surface (see BatchJournalEntry)
@@ -478,25 +454,16 @@ class SQLiteProvenanceStore:
 
     def append(self, record: ProvenanceRecord) -> None:
         _check_append(record, self._tail(record.object_id))
-        observing = OBS.enabled
-        start = perf_counter() if observing else 0.0
-        prof = OBS.profiler
         try:
-            if prof is None:
-                with self._conn:
-                    self._conn.execute(self._INSERT, self._row_of(record))
-            else:
-                with prof.phase("store.io"), self._conn:
-                    self._conn.execute(self._INSERT, self._row_of(record))
+            with obs.phase("store.txn"), obs.phase("store.io"), self._conn:
+                self._conn.execute(self._INSERT, self._row_of(record))
         except sqlite3.IntegrityError as exc:
             raise SequenceError(
                 f"duplicate record key ({record.object_id!r}, {record.seq_id})"
             ) from exc
         self._tail_cache[record.object_id] = (record.seq_id, record.checksum)
-        if observing:
-            reg = OBS.registry
-            reg.counter("store.append.records", store="sqlite").inc()
-            reg.histogram("store.txn.seconds").observe(perf_counter() - start)
+        if OBS.enabled:
+            OBS.registry.counter("store.append.records", store="sqlite").inc()
 
     @staticmethod
     def _keys_json(batch: List[ProvenanceRecord]) -> str:
@@ -507,19 +474,12 @@ class SQLiteProvenanceStore:
 
     def _append_many_txn(self, batch: List[ProvenanceRecord]) -> Optional[int]:
         """The batch transaction: journal declaration + record inserts."""
-        prof = OBS.profiler
         with self._conn:  # one transaction: all-or-nothing
-            if prof is None:
+            with obs.phase("journal"):
                 cursor = self._conn.execute(
                     "INSERT INTO batch_journal(keys, committed) VALUES (?, 1)",
                     (self._keys_json(batch),),
                 )
-            else:
-                with prof.phase("journal"):
-                    cursor = self._conn.execute(
-                        "INSERT INTO batch_journal(keys, committed) VALUES (?, 1)",
-                        (self._keys_json(batch),),
-                    )
             batch_id = cursor.lastrowid
             self._conn.executemany(
                 self._INSERT, (self._row_of(record) for record in batch)
@@ -530,51 +490,38 @@ class SQLiteProvenanceStore:
         batch = list(records)
         if not batch:
             return
-        if OBS.tracing:
-            with OBS.tracer.span("store.batch", store="sqlite", records=len(batch)):
-                self._append_many_run(batch)
-            return
-        self._append_many_run(batch)
-
-    def _append_many_run(self, batch: List[ProvenanceRecord]) -> None:
-        staged = _check_batch(batch, self._tail)
-        observing = OBS.enabled
-        start = perf_counter() if observing else 0.0
-        batch_id: Optional[int] = None
-        prof = OBS.profiler
-        try:
-            if prof is None:
-                batch_id = self._append_many_txn(batch)
-            else:
-                with prof.phase("store.io"):
+        with obs.phase("store.batch", store="sqlite", records=len(batch)):
+            staged = _check_batch(batch, self._tail)
+            batch_id: Optional[int] = None
+            try:
+                with obs.phase("store.txn"), obs.phase("store.io"):
                     batch_id = self._append_many_txn(batch)
-        except sqlite3.IntegrityError as exc:
-            raise SequenceError(f"duplicate record key in batch: {exc}") from exc
-        except BaseException:
-            # The transaction rolled back (or — disk-I/O error at commit
-            # time — may have *partially* survived a torn write).  Either
-            # way the cached tails for the batch's objects can no longer
-            # be trusted: a retried batch must re-read them from disk, or
-            # it could chain off a checksum that was never committed.
-            for object_id in {record.object_id for record in batch}:
-                self._tail_cache.pop(object_id, None)
-            raise
-        self._tail_cache.update(staged)
-        if observing:
-            reg = OBS.registry
-            reg.counter("store.append.batches", store="sqlite").inc()
-            reg.counter("store.append.records", store="sqlite").inc(len(batch))
-            reg.histogram("store.batch.size", store="sqlite").observe(len(batch))
-            reg.histogram("store.txn.seconds").observe(perf_counter() - start)
-        log = OBS.events
-        if log is not None:
-            log.emit(
-                "store.batch",
-                store="sqlite",
-                batch_id=batch_id,
-                records=len(batch),
-                objects=len({record.object_id for record in batch}),
-            )
+            except sqlite3.IntegrityError as exc:
+                raise SequenceError(f"duplicate record key in batch: {exc}") from exc
+            except BaseException:
+                # The transaction rolled back (or — disk-I/O error at commit
+                # time — may have *partially* survived a torn write).  Either
+                # way the cached tails for the batch's objects can no longer
+                # be trusted: a retried batch must re-read them from disk, or
+                # it could chain off a checksum that was never committed.
+                for object_id in {record.object_id for record in batch}:
+                    self._tail_cache.pop(object_id, None)
+                raise
+            self._tail_cache.update(staged)
+            if OBS.enabled:
+                reg = OBS.registry
+                reg.counter("store.append.batches", store="sqlite").inc()
+                reg.counter("store.append.records", store="sqlite").inc(len(batch))
+                reg.histogram("store.batch.size", store="sqlite").observe(len(batch))
+            log = OBS.events
+            if log is not None:
+                log.emit(
+                    "store.batch",
+                    store="sqlite",
+                    batch_id=batch_id,
+                    records=len(batch),
+                    objects=len({record.object_id for record in batch}),
+                )
 
     def records_for(self, object_id: str) -> Tuple[ProvenanceRecord, ...]:
         rows = self._conn.execute(

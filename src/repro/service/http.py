@@ -85,6 +85,7 @@ from time import perf_counter, sleep
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro import obs
 from repro.core.collector import TRANSIENT_STORE_ERRORS
 from repro.exceptions import (
     AuthError,
@@ -142,24 +143,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         route = split.path.rstrip("/") or "/"
         query = parse_qs(split.query)
         log = OBS.events
-        span_cm: object = nullcontext()
-        if log is not None or OBS.tracing:
+        remote = None
+        if OBS.tracing:
+            from repro.obs.plane import parse_traceparent
+
+            # Per-request remote parent (never the tracer's process-global
+            # remote context — concurrent handler threads each carry their
+            # own client's context on their phase).
+            remote = parse_traceparent(self.headers.get("traceparent"))
+        if log is not None:
             from repro.obs.plane import valid_correlation_id
 
-            if OBS.tracing:
-                from repro.obs import span_remote
-                from repro.obs.plane import parse_traceparent
-
-                # Per-request remote parent (never the tracer's process-
-                # global remote context — concurrent handler threads each
-                # carry their own client's context on the span handle).
-                span_cm = span_remote(
-                    "http.request",
-                    parse_traceparent(self.headers.get("traceparent")),
-                    method=method,
-                    path=route,
-                )
-        if log is not None:
             # Adopt the client's correlation id when it sent a sane one,
             # so client- and server-side events join on one id; anything
             # unvalidated (log injection, overlong values) is replaced by
@@ -172,7 +166,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             scope = nullcontext()
         began = perf_counter()
         endpoint = f"{method} {route.split('/v1/', 1)[-1].split('/')[0] or route}"
-        with span_cm as request_span, scope:
+        with obs.phase(
+            "http.request", remote, endpoint=endpoint, method=method, path=route
+        ) as request_span, scope:
             corr = _current_correlation()
             try:
                 status, payload, headers = self._route(method, route, query)
@@ -212,9 +208,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             OBS.registry.counter(
                 "service.http.requests", endpoint=endpoint, status=str(status)
             ).inc()
-            OBS.registry.histogram(
-                "service.http.seconds", endpoint=endpoint
-            ).observe(perf_counter() - began)
         if corr:
             headers = dict(headers)
             headers["X-Correlation-Id"] = corr

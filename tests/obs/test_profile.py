@@ -137,18 +137,6 @@ class TestPhaseProfiler:
             t.join()
         assert prof.snapshot()["hash"]["calls"] == 40
 
-    def test_emit_spans_opens_tracer_spans(self, obs_enabled):
-        prof = obs.enable_profile(reset=True, emit_spans=True)
-        try:
-            with obs.span("outer"):
-                with prof.phase("hash"):
-                    pass
-            root = obs.OBS.tracer.last_trace()
-            names = [child.name for child in root.children]
-            assert "phase.hash" in names
-        finally:
-            obs.disable_profile()
-
 
 class TestInstrumentationSites:
     """The instrumented layers report into an attached profiler."""
