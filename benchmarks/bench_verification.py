@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from repro.core.incremental import Checkpoint, verify_extension
 from repro.core.system import TamperEvidentDatabase
 from repro.core.verifier import Verifier
 from repro.crypto.pki import CertificateAuthority, KeyStore, Participant
+from repro.provenance.store import Checkpoint
 
 CHAIN_LENGTHS = (4, 16, 64)
 
@@ -78,7 +78,7 @@ def test_incremental_verification_of_one_update(benchmark, pki):
     new_records = [r for r in shipment.records if r.seq_id > checkpoint.seq_id]
 
     report = benchmark(
-        verify_extension, verifier, checkpoint, shipment.snapshot, new_records
+        verifier.verify, shipment.snapshot, new_records, "x", resume=checkpoint
     )
     assert report.ok
     # The fast path checks 1 record instead of 65.

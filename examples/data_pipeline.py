@@ -18,12 +18,12 @@ Run:  python examples/data_pipeline.py
 
 from repro import TamperEvidentDatabase
 from repro.audit.dot import to_dot
-from repro.core.incremental import Checkpoint, verify_extension
 from repro.core.redaction import redact_object_values
 from repro.core.verifier import Verifier
 from repro.provenance.compaction import compact
 from repro.provenance.opm import to_opm
 from repro.provenance.snapshot import SubtreeSnapshot
+from repro.provenance.store import Checkpoint
 
 db = TamperEvidentDatabase(key_bits=512)
 ops = db.session(db.enroll("ops-team"))
@@ -52,7 +52,7 @@ snapshot = SubtreeSnapshot.capture(db.store, "rollup-night1")
 new_records = [
     r for r in db.provenance_of("rollup-night1") if r.seq_id > checkpoint.seq_id
 ]
-incremental = verify_extension(verifier, checkpoint, snapshot, new_records)
+incremental = verifier.verify(snapshot, new_records, resume=checkpoint)
 print("incremental drop:", incremental.summary(),
       f"({incremental.records_checked} new record(s) checked)")
 assert incremental.ok

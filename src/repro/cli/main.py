@@ -15,6 +15,7 @@ Typical session::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -1004,7 +1005,8 @@ def _trust_simulate(args) -> int:
             mismatches = check_anchors(store, witness.log, witness.verifier())
             record("full-coalition rewrite vs witness anchors",
                    watched_health == "tampered" and bool(mismatches), True,
-                   mismatches=[list(m) for m in mismatches])
+                   mismatches=[[f.object_id, f.seq_id, f.message]
+                               for f in mismatches])
 
     ok = all(r["holds"] for r in results)
     if args.json:
@@ -1043,8 +1045,8 @@ def _cmd_trust(args) -> int:
             fresh = witness.tick(store)
             witness.log.save(args.log)
             for anchor in fresh:
-                print(f"anchored {anchor.object_id!r} seq {anchor.seq_id} "
-                      f"(entry {anchor.index})")
+                print(f"anchored {anchor.checkpoint.object_id!r} seq "
+                      f"{anchor.checkpoint.seq_id} (entry {anchor.position})")
             print(f"{len(fresh)} new anchor(s); log {args.log} now has "
                   f"{len(witness.log)} entries")
             return 0
@@ -1053,12 +1055,13 @@ def _cmd_trust(args) -> int:
         if args.json:
             print(json.dumps({
                 "log": args.log, "entries": len(witness.log),
-                "mismatches": [list(m) for m in mismatches],
+                "mismatches": [[f.object_id, f.seq_id, f.message]
+                               for f in mismatches],
                 "ok": not mismatches,
             }, indent=2, sort_keys=True))
         else:
-            for object_id, seq_id, reason in mismatches:
-                print(f"MISMATCH {object_id!r} seq {seq_id}: {reason}")
+            for f in mismatches:
+                print(f"MISMATCH {f.object_id!r} seq {f.seq_id}: {f.message}")
             print(f"audited {len(witness.log)} anchor(s): "
                   f"{'store matches the witness' if not mismatches else 'TAMPERED'}")
         if mismatches:
@@ -1734,28 +1737,25 @@ def _dispatch(args) -> int:
             return 0
 
         if args.command == "anchor":
-            service = ws.anchor_service()
-            receipt = service.anchor_latest(db, args.object_id)
-            ws.save_anchor(receipt)
+            anchor = ws.anchor(args.object_id)
             print(
-                f"anchored {args.object_id!r} at seq {receipt.seq_id} "
-                f"(anchor counter {receipt.counter})"
+                f"anchored {args.object_id!r} at seq {anchor.checkpoint.seq_id} "
+                f"(log entry {anchor.position})"
             )
             return 0
 
         if args.command == "verify":
+            shipment = db.ship(args.object_id)
+            report = shipment.verify(db.keystore())
             if args.anchors:
-                from repro.core.anchor import verify_with_anchors
-
-                service = ws.anchor_service()
-                report = verify_with_anchors(
-                    db.ship(args.object_id),
-                    db.keystore(),
-                    ws.anchor_receipts(),
-                    service.verifier(),
+                mismatches = ws.check_anchors(
+                    shipment, {record.object_id for record in shipment.records}
                 )
-            else:
-                report = db.verify(args.object_id)
+                report = dataclasses.replace(
+                    report,
+                    ok=report.ok and not mismatches,
+                    failures=report.failures + mismatches,
+                )
             print(render_report(report))
             return 0 if report.ok else 1
 

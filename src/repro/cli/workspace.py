@@ -9,6 +9,9 @@ A workspace directory holds everything a provenance deployment needs:
         <id>.json          each participant's private key + certificate
       backend.db           SQLite back-end database
       provenance.db        SQLite provenance database
+      anchors.jsonl        witness anchor log (``repro anchor``)
+      anchor-service.json  the anchoring witness's private key, and
+      anchor-service.pub.json  its public half (both made on first anchor)
 
 Private keys are stored unencrypted — this is a single-user research
 tool, not an HSM; treat the directory like an SSH key directory.
@@ -18,18 +21,29 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.backend.sqlite import SQLiteStore
 from repro.core.system import TamperEvidentDatabase
-from repro.crypto.keys import private_key_from_dict, private_key_to_dict
+from repro.core.verifier import VerificationFailure
+from repro.crypto.keys import (
+    private_key_from_dict,
+    private_key_to_dict,
+    public_key_from_dict,
+    public_key_to_dict,
+)
 from repro.crypto.pki import Certificate, CertificateAuthority, Participant
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.signatures import RSASignatureScheme
+from repro.crypto.signatures import RSASignatureScheme, RSASignatureVerifier
 from repro.exceptions import ReproError
-from repro.provenance.store import SQLiteProvenanceStore
+from repro.provenance.store import Checkpoint, SQLiteProvenanceStore
+from repro.trust.witness import AnchorLog, Witness, WitnessAnchor, check_anchors
 
 __all__ = ["Workspace", "WorkspaceError"]
+
+_ANCHOR_LOG = "anchors.jsonl"
+_ANCHOR_KEY = "anchor-service.json"
+_ANCHOR_PUBLIC_KEY = "anchor-service.pub.json"
 
 
 class WorkspaceError(ReproError):
@@ -184,50 +198,65 @@ class Workspace:
         return sorted(p.stem for p in directory.glob("*.json"))
 
     # ------------------------------------------------------------------
-    # anchoring (repro.core.anchor)
+    # anchoring (repro.trust.witness)
     # ------------------------------------------------------------------
 
-    def anchor_service(self):
-        """The workspace's anchor service (key created on first use).
+    def anchor(self, object_id: str) -> WitnessAnchor:
+        """Countersign ``object_id``'s chain tail into the anchor log.
 
-        In production the anchor service would run *outside* the
-        participants' control; a workspace-local one still demonstrates
-        the mechanics and protects against later tampering of this store.
+        The workspace witness's key pair is created on first use, with
+        its public half written beside it, so :meth:`check_anchors`
+        never reads the private key.  In production the witness would
+        run *outside* the participants' control; a workspace-local one
+        still demonstrates the mechanics and protects against later
+        tampering of this store.
+
+        Raises:
+            VerificationError: If the object has no records.
         """
-        from repro.core.anchor import AnchorService
-        from repro.crypto.signatures import RSASignatureScheme
-
-        key_file = self.path / "anchor-service.json"
-        if key_file.exists():
-            private = private_key_from_dict(json.loads(key_file.read_text()))
-        else:
-            private = generate_keypair(self.config["key_bits"]).private
-            key_file.write_text(json.dumps(private_key_to_dict(private)))
-        service = AnchorService(
-            RSASignatureScheme(private, self.config["hash_algorithm"])
+        checkpoint = Checkpoint.from_records(
+            object_id, self.database().provenance_store.records_for(object_id)
         )
-        for receipt in self.anchor_receipts():
-            service._log.append(receipt)
-            service._counter = max(service._counter, receipt.counter)
-        return service
-
-    def anchor_receipts(self) -> List:
-        """All persisted anchor receipts."""
-        from repro.core.anchor import AnchorReceipt
-
-        log_file = self.path / "anchors.json"
-        if not log_file.exists():
-            return []
-        return [
-            AnchorReceipt.from_dict(entry)
-            for entry in json.loads(log_file.read_text())
-        ]
-
-    def save_anchor(self, receipt) -> None:
-        """Append one receipt to the persistent anchor log."""
-        log_file = self.path / "anchors.json"
-        entries = (
-            json.loads(log_file.read_text()) if log_file.exists() else []
+        key_file = self.path / _ANCHOR_KEY
+        if not key_file.exists():
+            fresh = generate_keypair(self.config["key_bits"]).private
+            key_file.write_text(json.dumps(private_key_to_dict(fresh)))
+        private = private_key_from_dict(json.loads(key_file.read_text()))
+        (self.path / _ANCHOR_PUBLIC_KEY).write_text(
+            json.dumps(public_key_to_dict(private.public_key()))
         )
-        entries.append(receipt.to_dict())
-        log_file.write_text(json.dumps(entries))
+        witness = Witness(
+            RSASignatureScheme(private, self.config["hash_algorithm"]),
+            self.anchor_log(),
+        )
+        anchor = witness.anchor(checkpoint)
+        witness.log.save(str(self.path / _ANCHOR_LOG))
+        return anchor
+
+    def anchor_log(self) -> AnchorLog:
+        """The persisted anchor log (empty before the first anchor)."""
+        return AnchorLog.load(str(self.path / _ANCHOR_LOG))
+
+    def check_anchors(
+        self, records, objects=None
+    ) -> Tuple[VerificationFailure, ...]:
+        """:func:`repro.trust.witness.check_anchors` against this log.
+
+        Reads only the log and the witness's public key.
+
+        Raises:
+            WorkspaceError: If the log has entries but no public key.
+        """
+        log = self.anchor_log()
+        if not len(log):
+            return ()
+        public_file = self.path / _ANCHOR_PUBLIC_KEY
+        if not public_file.exists():
+            raise WorkspaceError(
+                f"{public_file} is missing: the anchor log cannot be checked"
+            )
+        verifier = RSASignatureVerifier(
+            public_key_from_dict(json.loads(public_file.read_text())),
+            self.config["hash_algorithm"],
+        )
+        return check_anchors(records, log, verifier, objects)

@@ -7,11 +7,11 @@
 - :mod:`repro.core.collector` — turns engine events into signed records,
   with provenance inheritance (§4.2) and complex operations (§4.4).
 - :mod:`repro.core.verifier` — the data recipient's verification
-  procedure with R1–R8 diagnostics.
+  procedure with R1–R8 diagnostics; ``Verifier.verify(...,
+  resume=checkpoint)`` lets a repeat recipient resume from a
+  :class:`~repro.provenance.store.Checkpoint` it verified earlier.
 - :mod:`repro.core.shipment` — the (data, provenance, certificates)
   bundle exchanged with recipients.
-- :mod:`repro.core.incremental` — checkpoint-based verification for
-  repeat recipients.
 - :mod:`repro.core.redaction` — selective disclosure of shipped values.
 - :mod:`repro.core.concurrent` — thread-safe sessions with per-tree
   locking (§3.2's parallel chain construction).
@@ -19,10 +19,8 @@
   most users should start from.
 """
 
-from repro.core.anchor import AnchorReceipt, AnchorService, verify_with_anchors
 from repro.core.collector import ChecksumCollector
 from repro.core.concurrent import ConcurrentSession, TreeLockManager, concurrent_sessions
-from repro.core.incremental import Checkpoint, verify_extension
 from repro.core.redaction import (
     redact_object_values,
     redact_participant_values,
@@ -54,14 +52,9 @@ __all__ = [
     "VerificationReport",
     "VerificationFailure",
     "Shipment",
-    "Checkpoint",
-    "verify_extension",
     "ConcurrentSession",
     "TreeLockManager",
     "concurrent_sessions",
-    "AnchorService",
-    "AnchorReceipt",
-    "verify_with_anchors",
     "redact_values",
     "redact_participant_values",
     "redact_object_values",

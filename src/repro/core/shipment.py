@@ -179,3 +179,9 @@ class Shipment:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def get(self, object_id: str, seq_id: int) -> Optional[ProvenanceRecord]:
+        """The shipped record with key ``(object_id, seq_id)``, or None —
+        the same record lookup a provenance store offers (see
+        :func:`repro.trust.witness.check_anchors`)."""
+        return next((r for r in self.records if r.key == (object_id, seq_id)), None)

@@ -18,11 +18,12 @@ evidence violates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core import checksum as payloads
 from repro.core.merkle import subtree_digest
+from repro.crypto.hashing import available_algorithms, get_algorithm
 from repro.crypto.pki import KeyStore
 from repro.crypto.signatures import detached_signature_valid, record_signature_valid
 from repro.exceptions import CertificateError, WorkerKilledError
@@ -32,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover — core stays import-decoupled from fault
     from repro.faults.plan import FaultPlan, FaultRule
 from repro.provenance.records import Operation, ProvenanceRecord
 from repro.provenance.snapshot import SubtreeSnapshot
+from repro.provenance.store import Checkpoint
+
+#: What a chain walk carries from one record to the next: the previous
+#: record, or the checkpoint summarising every record before the walk.
+_Previous = Optional[Union[ProvenanceRecord, Checkpoint]]
 
 __all__ = [
     "VerificationFailure",
@@ -204,6 +210,7 @@ class Verifier:
         snapshot: SubtreeSnapshot,
         records: Sequence[ProvenanceRecord],
         target_id: Optional[str] = None,
+        resume: Optional[Checkpoint] = None,
     ) -> VerificationReport:
         """Run the full §3 verification procedure.
 
@@ -212,21 +219,57 @@ class Verifier:
             records: The received provenance object (the target's chain
                 plus the chains it depends on through aggregations).
             target_id: The object the provenance claims to describe;
-                defaults to the snapshot root.
+                defaults to ``resume``'s object, else the snapshot root.
+            resume: A checkpoint of ``target_id``'s chain from an earlier
+                verification *this recipient* performed (repeat
+                deliveries).  Its checksum is signed into every later
+                record, so resuming from it is as strong as re-checking
+                the prefix.  Only the target's records past the
+                checkpoint's seq are walked, seeded from it; an
+                aggregation among them fails ``STRUCT`` (it reaches into
+                chains the checkpoint does not summarise — run a full
+                verification); with no new records the snapshot must
+                match the checkpoint's output digest.
         """
-        target = target_id if target_id is not None else snapshot.root_id
+        if target_id is not None:
+            target = target_id
+        else:
+            target = resume.object_id if resume is not None else snapshot.root_id
         with obs.phase("verify", target=target, records=len(records)):
             failures = _Failures()
+            if resume is not None:
+                records = [
+                    r for r in records
+                    if r.object_id == resume.object_id and r.seq_id > resume.seq_id
+                ]
             chains = self._index(records, failures)
-
-            self._check_data_matches_terminal(snapshot, target, chains, failures)
-            checked = self._check_chains(chains, failures)
+            extension = chains.get(target, [])
+            if resume is None:
+                self._check_data_matches_terminal(snapshot, target, chains, failures)
+                checked = self._check_chains(chains, failures)
+            elif any(r.operation is Operation.AGGREGATE for r in extension):
+                failures.add(
+                    "STRUCT",
+                    target,
+                    "the records past the checkpoint include an aggregation, "
+                    "which reaches into chains the checkpoint does not "
+                    "summarise — run a full verification",
+                )
+                checked = 0
+            else:
+                self._check_data_matches_terminal(
+                    snapshot, target, chains, failures, resume
+                )
+                checked = (
+                    self._check_chain(extension, chains, failures, resume)
+                    if extension else 0
+                )
 
             report = VerificationReport(
                 ok=not failures.items,
                 failures=tuple(failures.items),
                 records_checked=checked,
-                objects_checked=len(chains),
+                objects_checked=len(chains) if resume is None else 1,
                 target_id=target,
             )
         _observe_report(report)
@@ -252,18 +295,19 @@ class Verifier:
     def verify_incremental(
         self,
         records: Sequence[ProvenanceRecord],
-        skip: Dict[str, int],
+        skip: Dict[str, Checkpoint],
         observe: bool = True,
     ) -> VerificationReport:
         """Verify only each chain's *uncovered suffix* (watermark resume).
 
-        ``skip`` maps object id → how many leading records of that
-        object's chain are already covered by a validated watermark
-        (``0`` or a missing entry means verify the whole chain; a value
-        ≥ the chain length skips the chain entirely).  The caller —
-        :class:`repro.monitor.ProvenanceMonitor` — is responsible for
-        re-validating the watermark *anchor* before trusting a nonzero
-        skip; given a sound anchor, the failures reported for the suffix
+        ``skip`` maps object id → the :class:`Checkpoint` covering that
+        chain's first ``index`` records (a missing entry means verify the
+        whole chain; an index ≥ the chain length skips it entirely).  The
+        suffix ``chain[index:]`` is sliced by position and walked seeded
+        from the checkpoint.  The caller —
+        :class:`repro.monitor.ProvenanceMonitor` — must first check that
+        each checkpoint equals the one re-derived from the live record at
+        its position; given that, the failures reported for the suffix
         are byte-identical to the corresponding slice of a full
         :meth:`verify_records` run (see ``_check_chain``).
 
@@ -285,11 +329,16 @@ class Verifier:
             objects = 0
             for object_id in sorted(chains):
                 chain = chains[object_id]
-                start = min(max(0, skip.get(object_id, 0)), len(chain))
-                if start >= len(chain):
+                checkpoint = skip.get(object_id)
+                if checkpoint is None:
+                    checked += self._check_chain(chain, chains, failures)
+                elif checkpoint.index < len(chain):
+                    checked += self._check_chain(
+                        chain[checkpoint.index:], chains, failures, checkpoint
+                    )
+                else:
                     continue  # fully covered: nothing new to check
                 objects += 1
-                checked += self._check_chain(chain, chains, failures, start=start)
             report = VerificationReport(
                 ok=not failures.items,
                 failures=tuple(failures.items),
@@ -310,6 +359,7 @@ class Verifier:
         target: str,
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
+        resume: Optional[Checkpoint] = None,
     ) -> None:
         if snapshot.root_id != target:
             failures.add(
@@ -320,15 +370,29 @@ class Verifier:
             )
             return
         chain = chains.get(target)
-        if not chain:
+        if chain:
+            terminal: Union[ProvenanceRecord, Checkpoint] = chain[-1]
+            algorithms: Sequence[str] = (chain[-1].hash_algorithm,)
+        elif resume is not None and resume.object_id == target:
+            # A checkpoint names no hash algorithm; its digest's size
+            # does (every registered algorithm of that size is tried).
+            terminal = resume
+            algorithms = [
+                name for name in available_algorithms()
+                if get_algorithm(name).digest_size == len(resume.output_digest)
+            ]
+        else:
             failures.add(
                 "R4", target, "no provenance records for the delivered object"
             )
             return
-        terminal = chain[-1]
         forest = snapshot.to_forest()
         try:
-            actual = subtree_digest(forest, snapshot.root_id, terminal.hash_algorithm)
+            matches = any(
+                subtree_digest(forest, snapshot.root_id, algorithm)
+                == terminal.output_digest
+                for algorithm in algorithms
+            )
         except Exception as exc:  # unknown algorithm, malformed snapshot, ...
             failures.add(
                 "STRUCT",
@@ -337,7 +401,7 @@ class Verifier:
                 seq_id=terminal.seq_id,
             )
             return
-        if actual != terminal.output.digest:
+        if not matches:
             failures.add(
                 "R4",
                 target,
@@ -364,9 +428,16 @@ class Verifier:
         chain: List[ProvenanceRecord],
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
-        start: int = 0,
+        previous: _Previous = None,
     ) -> int:
-        """Verify one object's chain (from ``start``); returns records checked.
+        """Verify one object's chain; returns records checked.
+
+        ``previous`` seeds the walk when ``chain`` is a suffix: the
+        checkpoint after the records before it.  The walk's only carried
+        state is ``previous`` (seq, checksum, output digest, author), so
+        a seeded suffix walk performs exactly the checks a full walk
+        performs on those records — the incremental monitor's and the
+        resuming recipient's equivalence guarantee rests on this.
 
         Chains are independent (§3.2's local chaining) except for
         aggregate predecessor resolution, which only *reads* other
@@ -376,18 +447,10 @@ class Verifier:
         with obs.phase(
             "verify.chain",
             object_id=chain[0].object_id if chain else "?",
-            records=len(chain) - start,
+            records=len(chain),
         ):
             checked = 0
-            # Seeding ``previous`` with the last covered record makes a
-            # suffix walk from ``start`` perform exactly the checks a full
-            # walk performs on those records (the walk's only carried
-            # state is ``previous``) — the incremental monitor's
-            # equivalence guarantee rests on this line.
-            previous: Optional[ProvenanceRecord] = (
-                chain[start - 1] if start > 0 else None
-            )
-            for record in chain[start:]:
+            for record in chain:
                 checked += 1
                 self._check_inline_values(record, failures)
                 prev_checksums = self._resolve_predecessors(
@@ -437,7 +500,7 @@ class Verifier:
     def _check_custody(
         self,
         record: ProvenanceRecord,
-        previous: Optional[ProvenanceRecord],
+        previous: _Previous,
         failures: _Failures,
     ) -> None:
         """The custody hand-off invariant (``TRANSFER`` records, §2.2).
@@ -524,7 +587,7 @@ class Verifier:
     def _resolve_predecessors(
         self,
         record: ProvenanceRecord,
-        previous: Optional[ProvenanceRecord],
+        previous: _Previous,
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
     ) -> Optional[Sequence[bytes]]:
@@ -564,7 +627,7 @@ class Verifier:
                     seq_id=record.seq_id,
                 )
                 return None
-            if record.inputs[0].digest != previous.output.digest:
+            if record.inputs[0].digest != previous.output_digest:
                 failures.add(
                     "R1",
                     record.object_id,
@@ -679,16 +742,6 @@ class Verifier:
         for chain in chains.values():
             chain.sort(key=lambda r: r.seq_id)
         return chains
-
-
-def _latest_before(
-    chain: List[ProvenanceRecord], seq_id: int
-) -> Optional[ProvenanceRecord]:
-    best = None
-    for record in chain:
-        if record.seq_id < seq_id:
-            best = record
-    return best
 
 
 # ---------------------------------------------------------------------------

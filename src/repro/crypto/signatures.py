@@ -381,8 +381,7 @@ def record_signature_valid(
     key, record, payload: bytes, root_cache: Optional[dict] = None
 ) -> bool:
     """Scheme-aware record checksum verification — the single dispatch
-    point shared by :class:`repro.core.verifier.Verifier` and
-    :func:`repro.core.incremental.verify_extension`.
+    point of :class:`repro.core.verifier.Verifier`'s chain walk.
 
     For Merkle-batch records (scheme + attached proof) this checks leaf
     equality plus the inclusion proof against the signed root; for

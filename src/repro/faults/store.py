@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 from repro.exceptions import CrashError, ProvenanceError
 from repro.faults.plan import FaultKind, FaultPlan, _raise_for
 from repro.provenance.records import ProvenanceRecord
-from repro.provenance.store import BatchJournalEntry, ChainTail, VerifiedWatermark
+from repro.provenance.store import BatchJournalEntry, ChainTail, Checkpoint
 
 __all__ = ["FaultyStore", "SITE_KINDS"]
 
@@ -147,13 +147,13 @@ class FaultyStore:
     # verified watermarks are monitor/recovery state, not workload I/O:
     # like the journal surface they delegate fault-free.
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    def set_watermark(self, watermark: Checkpoint) -> None:
         self.inner.set_watermark(watermark)
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
         return self.inner.get_watermark(object_id)
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
         return self.inner.watermarks()
 
     def clear_watermark(self, object_id: str) -> bool:

@@ -49,7 +49,10 @@ make ``repro monitor --once`` exit non-zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.verifier import VerificationFailure
 
 __all__ = [
     "Alert",
@@ -113,11 +116,10 @@ class TickContext:
     #: Mean seconds per call per profiled phase (empty when no profiler
     #: is attached) — what the ``phase-latency-slo`` rule consumes.
     phase_latencies: Dict[str, float] = field(default_factory=dict)
-    #: ``(object_id, seq_id, reason)`` contradictions between the store
-    #: and the witness anchor log (see
-    #: :func:`repro.trust.witness.check_anchors`); always empty when the
-    #: monitor has no witness configured.
-    witness_mismatches: Tuple[Tuple[str, int, str], ...] = ()
+    #: ``VerificationFailure`` contradictions between the store and the
+    #: witness anchor log (see :func:`repro.trust.witness.check_anchors`);
+    #: always empty when the monitor has no witness configured.
+    witness_mismatches: Tuple["VerificationFailure", ...] = ()
 
 
 class AlertRule:
@@ -188,13 +190,17 @@ class WitnessMismatchRule(AlertRule):
                 rule=self.name,
                 severity="critical",
                 message=(
-                    f"store state of {object_id!r} contradicts the witness "
-                    f"anchor log ({reason})"
+                    f"store state of {failure.object_id!r} contradicts the "
+                    f"witness anchor log ({failure.message})"
                 ),
                 tampering=True,
-                fields={"object_id": object_id, "seq_id": seq_id, "reason": reason},
+                fields={
+                    "object_id": failure.object_id,
+                    "seq_id": failure.seq_id,
+                    "reason": failure.message,
+                },
             )
-            for object_id, seq_id, reason in ctx.witness_mismatches
+            for failure in ctx.witness_mismatches
         ]
 
 

@@ -1,21 +1,19 @@
 """Continuous provenance health monitoring (watermark-based).
 
 :class:`ProvenanceMonitor` periodically re-verifies a provenance store
-*incrementally*: for every object it persists a
-:class:`~repro.provenance.store.VerifiedWatermark` — how many leading
-records of the chain verified clean, anchored by the last covered
-record's ``(seq_id, checksum)`` — and each :meth:`~ProvenanceMonitor.tick`
-only walks the records past the watermark.  Correctness rests on two
-facts:
+*incrementally*: for every object it persists a verified watermark, the
+:class:`~repro.provenance.store.Checkpoint` after the chain's leading
+records that verified clean, and each :meth:`~ProvenanceMonitor.tick`
+only walks the records past it.  Correctness rests on two facts:
 
-* A chain walk's only carried state is the ``previous`` record, so a
-  suffix walk seeded with the anchor record performs byte-identical
-  checks to the corresponding slice of a full walk
-  (``Verifier._check_chain``).
-* The anchor is re-validated against the live chain before any skip is
-  trusted.  A missing anchor, a changed anchor checksum, or a chain
-  shorter than its watermark means history was rewritten behind the
-  monitor — that chain is re-verified from scratch and a
+* A chain walk's only carried state is the previous record's
+  ``(seq_id, checksum, output digest, author)``, so a suffix walk seeded
+  with the checkpoint performs byte-identical checks to the
+  corresponding slice of a full walk (``Verifier._check_chain``).
+* The checkpoint is re-derived from the live record at its position
+  before any skip is trusted.  A missing anchor record, any change to
+  it, or a chain shorter than its watermark means history was rewritten
+  behind the monitor — that chain is re-verified from scratch and a
   ``watermark-regression`` alert fires (unless crash recovery rewound
   the watermark first; see ``RecoveryScanner._rewind_watermarks``).
 
@@ -51,7 +49,7 @@ from repro.exceptions import ProvenanceError
 from repro.monitor.alerts import Alert, AlertRule, TickContext, default_rules
 from repro.obs import OBS
 from repro.provenance.records import ProvenanceRecord
-from repro.provenance.store import VerifiedWatermark
+from repro.provenance.store import Checkpoint
 
 __all__ = ["TickResult", "ProvenanceMonitor"]
 
@@ -202,7 +200,7 @@ class ProvenanceMonitor:
 
             if not full and self._idle_fast_path_ok(watermarks):
                 return self._finish_tick(
-                    mode="idle", chains={}, skip={},
+                    mode="idle", chains={},
                     records_total=len(self.store), verified=0,
                     skipped=len(self.store), objects_verified=0, advanced=(),
                     log=log, watermarks=watermarks, began=began,
@@ -218,11 +216,9 @@ class ProvenanceMonitor:
             skip, fresh_regressions = self._compute_skip(chains, watermarks, full)
             for oid, reason in fresh_regressions:
                 self._regressions.setdefault(oid, reason)
-            skipped = sum(
-                min(skip.get(oid, 0), len(chain)) for oid, chain in chains.items()
-            )
+            skipped = sum(checkpoint.index for checkpoint in skip.values())
 
-            if full or all(v == 0 for v in skip.values()):
+            if full or not skip:
                 # Cold/full pass: route through the (possibly parallel)
                 # whole-chain verifier.
                 report = self.verifier.verify_records(records)
@@ -241,12 +237,12 @@ class ProvenanceMonitor:
             # one-shot full verify.
             suspects = sorted(
                 oid for oid in by_object
-                if 0 < skip.get(oid, 0) < len(chains.get(oid, ()))
+                if oid in skip and skip[oid].index < len(chains[oid])
             )
             if suspects:
                 re_skip = {
-                    oid: (0 if oid in suspects else len(chain))
-                    for oid, chain in chains.items()
+                    oid: Checkpoint.after(chain, len(chain))
+                    for oid, chain in chains.items() if oid not in suspects
                 }
                 # observe=False: this is the diagnosis half of the same
                 # logical pass — observing it would double-count failures.
@@ -273,11 +269,7 @@ class ProvenanceMonitor:
                     # (internally consistent) rewritten chain would silently
                     # accept the tampered history.
                     continue
-                tail = chain[-1]
-                watermark = VerifiedWatermark(
-                    object_id=oid, index=len(chain),
-                    seq_id=tail.seq_id, checksum=tail.checksum,
-                )
+                watermark = Checkpoint.after(chain, len(chain))
                 if watermarks.get(oid) != watermark:
                     self.store.set_watermark(watermark)
                     advanced.append(oid)
@@ -294,7 +286,7 @@ class ProvenanceMonitor:
                     del self._failures[oid]
 
             return self._finish_tick(
-                mode=mode, chains=chains, skip=skip,
+                mode=mode, chains=chains,
                 records_total=len(records), verified=report.records_checked,
                 skipped=skipped, objects_verified=report.objects_checked,
                 advanced=tuple(advanced), log=log, watermarks=None,
@@ -305,7 +297,7 @@ class ProvenanceMonitor:
     # tick helpers
     # ------------------------------------------------------------------
 
-    def _idle_fast_path_ok(self, watermarks: Dict[str, VerifiedWatermark]) -> bool:
+    def _idle_fast_path_ok(self, watermarks: Dict[str, Checkpoint]) -> bool:
         """True when the store provably matches the verified state.
 
         Conditions: every object with records has a watermark, the total
@@ -336,10 +328,16 @@ class ProvenanceMonitor:
     def _compute_skip(
         self,
         chains: Dict[str, List[ProvenanceRecord]],
-        watermarks: Dict[str, VerifiedWatermark],
+        watermarks: Dict[str, Checkpoint],
         full: bool,
-    ) -> Tuple[Dict[str, int], Tuple[Tuple[str, str], ...]]:
+    ) -> Tuple[Dict[str, Checkpoint], Tuple[Tuple[str, str], ...]]:
         """Validate each watermark anchor; invalid ones become regressions.
+
+        Returns the watermarks a suffix walk may resume from.  A
+        watermark is valid only if it equals the checkpoint re-derived
+        from the live record at its position: the walk is seeded from
+        the stored copy, so an edit of the anchor record — even one that
+        keeps its checksum — must not be trusted.
 
         Anchors are validated even on a full pass — a full scan verifies
         *content* but cannot see *removal* (a truncated chain is shorter
@@ -355,12 +353,11 @@ class ProvenanceMonitor:
         applied to skipping.  Its failures only change when a fresh full
         walk of that chain replaces (or clears) them.
         """
-        skip: Dict[str, int] = {}
+        skip: Dict[str, Checkpoint] = {}
         regressions: List[Tuple[str, str]] = []
         for oid in sorted(chains):
             chain = chains[oid]
             wm = watermarks.get(oid)
-            skip[oid] = 0
             if wm is None:
                 continue
             if wm.index <= 0:
@@ -377,8 +374,7 @@ class ProvenanceMonitor:
                     f"covers {wm.index}",
                 ))
                 continue
-            anchor = chain[wm.index - 1]
-            if anchor.seq_id != wm.seq_id or anchor.checksum != wm.checksum:
+            if Checkpoint.after(chain, wm.index) != wm:
                 regressions.append((
                     oid,
                     f"anchor record at position {wm.index - 1} changed "
@@ -386,14 +382,14 @@ class ProvenanceMonitor:
                 ))
                 continue
             if not full and oid not in self._failures:
-                skip[oid] = wm.index
+                skip[oid] = wm
         for oid in sorted(watermarks):
             if oid not in chains:
                 regressions.append((oid, "chain is gone but its watermark remains"))
         return skip, tuple(regressions)
 
     def _finish_tick(
-        self, mode, chains, skip, records_total, verified,
+        self, mode, chains, records_total, verified,
         skipped, objects_verified, advanced, log, watermarks, began,
     ) -> TickResult:
         regressions = tuple(sorted(self._regressions.items()))
@@ -447,7 +443,7 @@ class ProvenanceMonitor:
             duration_seconds=perf_counter() - began,
         )
 
-    def _witness_mismatches(self) -> Tuple[Tuple[str, int, str], ...]:
+    def _witness_mismatches(self) -> Tuple[VerificationFailure, ...]:
         """Store-vs-anchor contradictions (empty without a witness).
 
         Runs on *every* tick, idle fast path included: the fast path

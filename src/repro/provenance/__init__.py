@@ -12,7 +12,9 @@ set of records documenting one data object, partially ordered by ``seqID``
   to data recipients.
 - :mod:`repro.provenance.store` — the provenance database: in-memory and
   SQLite implementations mirroring §5.1's
-  ``(SeqID, Participant, Oid, Checksum binary(128))`` rows.
+  ``(SeqID, Participant, Oid, Checksum binary(128))`` rows, and
+  :class:`Checkpoint`, the one attested chain position (monitor
+  watermark, recipient resume point, witness log entry).
 - :mod:`repro.provenance.dag` — DAG construction over record sets.
 
 Checksum *generation* (the paper's contribution) lives in
@@ -22,7 +24,11 @@ Checksum *generation* (the paper's contribution) lives in
 from repro.provenance.dag import ProvenanceDAG
 from repro.provenance.records import ObjectState, Operation, ProvenanceRecord
 from repro.provenance.snapshot import SubtreeSnapshot
-from repro.provenance.store import InMemoryProvenanceStore, SQLiteProvenanceStore
+from repro.provenance.store import (
+    Checkpoint,
+    InMemoryProvenanceStore,
+    SQLiteProvenanceStore,
+)
 
 __all__ = [
     "Operation",
@@ -31,5 +37,6 @@ __all__ = [
     "SubtreeSnapshot",
     "InMemoryProvenanceStore",
     "SQLiteProvenanceStore",
+    "Checkpoint",
     "ProvenanceDAG",
 ]

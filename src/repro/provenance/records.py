@@ -221,6 +221,13 @@ class ProvenanceRecord:
         return (self.object_id, self.seq_id)
 
     @property
+    def output_digest(self) -> bytes:
+        """The output state's digest (a chain walk's carried state is a
+        record or a :class:`~repro.provenance.store.Checkpoint`; both
+        expose it under this name)."""
+        return self.output.digest
+
+    @property
     def input_ids(self) -> Tuple[str, ...]:
         """Ids of the input objects, in global order."""
         return tuple(state.object_id for state in self.inputs)

@@ -32,9 +32,9 @@ from repro.provenance.records import ProvenanceRecord
 from repro.provenance.store import (
     BatchJournalEntry,
     ChainTail,
+    Checkpoint,
     InMemoryProvenanceStore,
     SQLiteProvenanceStore,
-    VerifiedWatermark,
     _check_batch,
 )
 
@@ -202,14 +202,14 @@ class ShardedProvenanceStore:
     # verified watermarks (monitor state)
     # ------------------------------------------------------------------
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    def set_watermark(self, watermark: Checkpoint) -> None:
         self._shard_for(watermark.object_id).set_watermark(watermark)
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
         return self._shard_for(object_id).get_watermark(object_id)
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
-        marks: List[VerifiedWatermark] = []
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
+        marks: List[Checkpoint] = []
         for shard in self.shards:
             marks.extend(shard.watermarks())
         marks.sort(key=lambda wm: wm.object_id)

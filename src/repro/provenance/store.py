@@ -23,19 +23,25 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
 
 from repro import obs
-from repro.exceptions import BackendError, ProvenanceError, SequenceError
+from repro.exceptions import (
+    BackendError,
+    ProvenanceError,
+    SequenceError,
+    VerificationError,
+)
 from repro.obs import OBS
 from repro.provenance.records import ProvenanceRecord
 
 __all__ = [
     "ProvenanceStore",
     "BatchJournalEntry",
-    "VerifiedWatermark",
+    "Checkpoint",
     "InMemoryProvenanceStore",
     "SQLiteProvenanceStore",
 ]
@@ -101,22 +107,61 @@ ChainTail = Tuple[int, bytes]
 
 
 @dataclass(frozen=True)
-class VerifiedWatermark:
-    """How far an object's chain has been verified (monitor state).
+class Checkpoint:
+    """An attested chain position: the chain walk's state after a prefix.
 
-    ``index`` counts the chain's covered *prefix* (records, not seq ids —
-    seq ids may skip after deletions of other objects but a chain's
-    record list is dense); ``seq_id``/``checksum`` identify the last
-    covered record, the *anchor* an incremental verify re-validates
-    before trusting the prefix.  See ``repro.monitor`` and DESIGN.md §9
-    for why an anchor mismatch must force a full re-verify rather than
-    be repaired in place.
+    Because every checksum signs its predecessor, the walk over a chain
+    (``repro.core.verifier.Verifier._check_chain``) carries exactly one
+    thing from record to record: the last record's ``seq_id``,
+    ``checksum``, output digest and author.  A checkpoint is that state
+    after the first ``index`` records of ``object_id``'s chain (records,
+    not seq ids: a chain's record list is dense).  Seeding the walk with
+    it checks the rest of the chain exactly as a full walk would.
+
+    One type serves every place a prefix is attested: the monitor's
+    per-object verified watermark (persisted by the stores below), a
+    recipient's last verified delivery (``Verifier.verify(...,
+    resume=checkpoint)``), and each entry of the witness's signed log
+    (:mod:`repro.trust.witness`).  A checkpoint is only as trustworthy as
+    whoever vouches for it: the monitor re-derives it from the live
+    record before resuming, recipients keep their own, and witness
+    entries carry the witness's signature.
     """
 
     object_id: str
     index: int
     seq_id: int
     checksum: bytes
+    output_digest: bytes
+    participant_id: str
+
+    @classmethod
+    def after(cls, chain: Sequence[ProvenanceRecord], index: int) -> "Checkpoint":
+        """The checkpoint after ``chain[:index]`` (``chain`` ordered by seq)."""
+        record = chain[index - 1]
+        return cls(
+            record.object_id, index, record.seq_id, record.checksum,
+            record.output.digest, record.participant_id,
+        )
+
+    @classmethod
+    def from_records(
+        cls, object_id: str, records: Iterable[ProvenanceRecord]
+    ) -> "Checkpoint":
+        """The checkpoint after every record of ``object_id`` in ``records``.
+
+        Callers checkpoint what they verified: this only summarises.
+
+        Raises:
+            VerificationError: If ``records`` has none for the object.
+        """
+        chain = sorted(
+            (r for r in records if r.object_id == object_id),
+            key=lambda r: r.seq_id,
+        )
+        if not chain:
+            raise VerificationError(f"no records for {object_id!r} to checkpoint")
+        return cls.after(chain, len(chain))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -124,7 +169,28 @@ class VerifiedWatermark:
             "index": self.index,
             "seq_id": self.seq_id,
             "checksum": self.checksum.hex(),
+            "output_digest": self.output_digest.hex(),
+            "participant_id": self.participant_id,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "Checkpoint":
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            VerificationError: On malformed input.
+        """
+        try:
+            return cls(
+                object_id=str(data["object_id"]),
+                index=int(data["index"]),
+                seq_id=int(data["seq_id"]),
+                checksum=bytes.fromhex(data["checksum"]),
+                output_digest=bytes.fromhex(data["output_digest"]),
+                participant_id=str(data["participant_id"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VerificationError(f"malformed checkpoint: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -184,7 +250,7 @@ class InMemoryProvenanceStore:
         self._space = 0
         self._journal: Dict[int, BatchJournalEntry] = {}
         self._next_batch_id = 1
-        self._watermarks: Dict[str, VerifiedWatermark] = {}
+        self._watermarks: Dict[str, Checkpoint] = {}
 
     def append(self, record: ProvenanceRecord) -> None:
         with obs.phase("store.io"):
@@ -281,18 +347,18 @@ class InMemoryProvenanceStore:
         self._journal.pop(batch_id, None)
 
     # ------------------------------------------------------------------
-    # verified watermarks (monitor state; see VerifiedWatermark)
+    # verified watermarks (the monitor's per-object Checkpoint)
     # ------------------------------------------------------------------
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    def set_watermark(self, watermark: Checkpoint) -> None:
         """Persist one object's verified watermark (upsert)."""
         self._watermarks[watermark.object_id] = watermark
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
         """The object's verified watermark, or None."""
         return self._watermarks.get(object_id)
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
         """All watermarks, sorted by object id."""
         return tuple(self._watermarks[k] for k in sorted(self._watermarks))
 
@@ -371,15 +437,17 @@ class SQLiteProvenanceStore:
         keys      TEXT NOT NULL,
         committed INTEGER NOT NULL
     );
-    -- Verified watermarks: the monitor's per-object incremental-verify
-    -- state (covered prefix length + last-good anchor).  Kept in the
-    -- store so a restarted monitor resumes where it left off; recovery
-    -- truncation rewinds affected rows (see repro.faults.recovery).
-    CREATE TABLE IF NOT EXISTS watermarks (
-        object_id TEXT PRIMARY KEY,
-        idx       INTEGER NOT NULL,
-        seq_id    INTEGER NOT NULL,
-        checksum  BLOB NOT NULL
+    -- Verified watermarks: the monitor's per-object Checkpoint.  Kept in
+    -- the store so a restarted monitor resumes where it left off;
+    -- recovery truncation rewinds affected rows (see
+    -- repro.faults.recovery).
+    CREATE TABLE IF NOT EXISTS checkpoints (
+        object_id     TEXT PRIMARY KEY,
+        idx           INTEGER NOT NULL,
+        seq_id        INTEGER NOT NULL,
+        checksum      BLOB NOT NULL,
+        output_digest BLOB NOT NULL,
+        participant   TEXT NOT NULL
     );
     """
 
@@ -573,7 +641,7 @@ class SQLiteProvenanceStore:
             "DELETE FROM provenance WHERE object_id = ?", (object_id,)
         )
         self._conn.execute(
-            "DELETE FROM watermarks WHERE object_id = ?", (object_id,)
+            "DELETE FROM checkpoints WHERE object_id = ?", (object_id,)
         )
         self._conn.commit()
         self._tail_cache.pop(object_id, None)
@@ -642,53 +710,46 @@ class SQLiteProvenanceStore:
         self._conn.commit()
 
     # ------------------------------------------------------------------
-    # verified watermarks (monitor state; see VerifiedWatermark)
+    # verified watermarks (the monitor's per-object Checkpoint)
     # ------------------------------------------------------------------
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    _CHECKPOINT_COLUMNS = (
+        "object_id, idx, seq_id, checksum, output_digest, participant"
+    )
+
+    def set_watermark(self, watermark: Checkpoint) -> None:
         """Persist one object's verified watermark (upsert)."""
         self._conn.execute(
-            "INSERT INTO watermarks(object_id, idx, seq_id, checksum)"
-            " VALUES (?, ?, ?, ?)"
-            " ON CONFLICT(object_id) DO UPDATE SET"
-            " idx = excluded.idx, seq_id = excluded.seq_id,"
-            " checksum = excluded.checksum",
+            f"INSERT OR REPLACE INTO checkpoints({self._CHECKPOINT_COLUMNS})"
+            " VALUES (?, ?, ?, ?, ?, ?)",
             (watermark.object_id, watermark.index, watermark.seq_id,
-             watermark.checksum),
+             watermark.checksum, watermark.output_digest,
+             watermark.participant_id),
         )
         self._conn.commit()
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
         """The object's verified watermark, or None."""
-        row = self._conn.execute(
-            "SELECT idx, seq_id, checksum FROM watermarks WHERE object_id = ?",
-            (object_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        return VerifiedWatermark(
-            object_id=object_id, index=row[0], seq_id=row[1],
-            checksum=bytes(row[2]),
-        )
+        found = self._checkpoints(" WHERE object_id = ?", (object_id,))
+        return found[0] if found else None
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
         """All watermarks, sorted by object id."""
+        return self._checkpoints(" ORDER BY object_id", ())
+
+    def _checkpoints(self, clause: str, params) -> Tuple[Checkpoint, ...]:
         rows = self._conn.execute(
-            "SELECT object_id, idx, seq_id, checksum FROM watermarks"
-            " ORDER BY object_id"
+            f"SELECT {self._CHECKPOINT_COLUMNS} FROM checkpoints{clause}", params
         ).fetchall()
         return tuple(
-            VerifiedWatermark(
-                object_id=row[0], index=row[1], seq_id=row[2],
-                checksum=bytes(row[3]),
-            )
-            for row in rows
+            Checkpoint(oid, idx, seq, bytes(checksum), bytes(digest), author)
+            for oid, idx, seq, checksum, digest, author in rows
         )
 
     def clear_watermark(self, object_id: str) -> bool:
         """Drop one object's watermark; True if one existed."""
         cursor = self._conn.execute(
-            "DELETE FROM watermarks WHERE object_id = ?", (object_id,)
+            "DELETE FROM checkpoints WHERE object_id = ?", (object_id,)
         )
         self._conn.commit()
         return cursor.rowcount > 0

@@ -14,10 +14,12 @@ closes (and one it documents):
   rewritten suffix; a *full* coalition rewrite is internally consistent
   and undetectable — the concession the paper (and Hasan et al.) make.
 - :mod:`repro.trust.witness` — an external witness countersigning chain
-  tails (and published Merkle-batch roots) into an append-only,
-  hash-linked anchor log.  Once an anchor covers a region, even a fully
-  colluding insider set cannot rewrite past it: the monitor's
-  ``witness-mismatch`` rule flags the contradiction as tampering.
+  checkpoints (:class:`~repro.provenance.store.Checkpoint`, and so
+  published Merkle-batch roots) into one append-only, hash-linked log.
+  Once an anchor covers a region, even a fully colluding insider set
+  cannot rewrite past it: :func:`~repro.trust.witness.check_anchors`
+  reports ``R7`` (the monitor's ``witness-mismatch`` rule, ``repro trust
+  audit``, ``repro verify --anchors``).
 """
 
 from repro.trust.custody import (

@@ -1,27 +1,29 @@
-"""Witness anchoring: an append-only, hash-linked log of chain tails.
+"""Witness anchoring: one signed, hash-linked log of checkpoints.
 
-:class:`repro.core.anchor.AnchorService` already models per-record
-deposits a *recipient* checks at shipment time.  The witness here is the
-*monitor-side* counterpart for the multi-participant setting: a notary
-outside every custodian's control that periodically countersigns each
-object's chain tail — under the Merkle-batch scheme, the tail checksum is
-exactly the leaf bound into the participant's published batch root, so
-anchoring it pins the published root too — into an append-only log whose
-entries hash-link to their predecessors.  Each signature covers the
-previous entry's digest, so the log itself is tamper-evident: an insider
-cannot drop or reorder anchors without breaking either a hash link or a
-witness signature.
+A witness is a notary outside every custodian's control (a timestamping
+service, a public ledger, a regulator's inbox).  It countersigns chain
+checkpoints (:class:`~repro.provenance.store.Checkpoint`) into an
+append-only log whose entries hash-link to their predecessors.  Each
+signature covers the previous entry's digest, so the log itself is
+tamper-evident: an insider cannot drop or reorder anchors without
+breaking either a hash link or a witness signature.  Under the
+Merkle-batch scheme the tail checksum is exactly the leaf bound into the
+participant's published batch root, so anchoring it pins the published
+root too.
 
-This closes the documented full-coalition gap: a coalition owning an
-entire chain suffix can re-sign it into an internally consistent forgery
+This closes the tail-truncation boundary the chain scheme concedes
+(SECURITY.md): a coalition owning an entire chain suffix can re-sign it
+into an internally consistent forgery
 (:func:`repro.trust.coalition.coalition_rewrite`), but it cannot forge
-the witness's signature over the *original* tail checksum.  Once an
-anchor covers a region, :func:`check_anchors` (and the monitor's
-``witness-mismatch`` alert rule) flags any store state contradicting it.
+the witness's signature over the *original* checkpoint.
+:func:`check_anchors` flags every contradiction — over a store (the
+monitor's ``witness-mismatch`` rule, ``repro trust audit``) or over a
+shipment (``repro verify --anchors``).
 
-The witness sees only ``(object_id, seq_id, checksum)`` — opaque
-signature bytes, no data values — so the availability/privacy cost of
-the third party is as small as it can be.
+The witness sees only chain coordinates, checksums and digests — no data
+values — so the availability/privacy cost of the third party is as small
+as it can be.  Anchoring is still an opt-in extension: it re-introduces
+a third party the core scheme deliberately avoids.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.verifier import VerificationFailure
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import (
@@ -40,22 +43,19 @@ from repro.crypto.signatures import (
     SignatureVerifier,
 )
 from repro.exceptions import VerificationError
+from repro.provenance.store import Checkpoint
 
 __all__ = ["WitnessAnchor", "AnchorLog", "Witness", "check_anchors"]
 
 _LINK_HASH = "sha256"
 
 
-def _anchor_payload(
-    index: int, object_id: str, seq_id: int, checksum: bytes, prev_digest: bytes
-) -> bytes:
+def _anchor_payload(position: int, checkpoint: Checkpoint, prev_digest: bytes) -> bytes:
     body = json.dumps(
         {
-            "witness": "v1",
-            "index": index,
-            "object_id": object_id,
-            "seq_id": seq_id,
-            "checksum": checksum.hex(),
+            "witness": "v2",
+            "position": position,
+            "checkpoint": checkpoint.to_dict(),
             "prev": prev_digest.hex(),
         },
         sort_keys=True,
@@ -65,20 +65,16 @@ def _anchor_payload(
 
 @dataclass(frozen=True)
 class WitnessAnchor:
-    """One countersigned chain tail in the witness's log."""
+    """One countersigned :class:`Checkpoint` in the witness's log."""
 
-    index: int  # position in the log (the witness's monotonic clock)
-    object_id: str
-    seq_id: int
-    checksum: bytes
+    position: int  # place in the log (the witness's monotonic clock)
+    checkpoint: Checkpoint
     prev_digest: bytes  # digest of the preceding log entry (b"" at genesis)
     signature: bytes
 
     def payload(self) -> bytes:
         """The bytes the witness signed (includes the hash link)."""
-        return _anchor_payload(
-            self.index, self.object_id, self.seq_id, self.checksum, self.prev_digest
-        )
+        return _anchor_payload(self.position, self.checkpoint, self.prev_digest)
 
     def entry_digest(self) -> bytes:
         """Digest the *next* entry links to (covers payload + signature)."""
@@ -87,10 +83,8 @@ class WitnessAnchor:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form."""
         return {
-            "index": self.index,
-            "object_id": self.object_id,
-            "seq_id": self.seq_id,
-            "checksum": self.checksum.hex(),
+            "position": self.position,
+            "checkpoint": self.checkpoint.to_dict(),
             "prev_digest": self.prev_digest.hex(),
             "signature": self.signature.hex(),
         }
@@ -104,10 +98,8 @@ class WitnessAnchor:
         """
         try:
             return cls(
-                index=int(data["index"]),
-                object_id=str(data["object_id"]),
-                seq_id=int(data["seq_id"]),
-                checksum=bytes.fromhex(data["checksum"]),
+                position=int(data["position"]),
+                checkpoint=Checkpoint.from_dict(data["checkpoint"]),
                 prev_digest=bytes.fromhex(data["prev_digest"]),
                 signature=bytes.fromhex(data["signature"]),
             )
@@ -119,9 +111,9 @@ class WitnessAnchor:
 class AnchorLog:
     """Append-only, hash-linked sequence of :class:`WitnessAnchor`.
 
-    The log enforces its own invariants on append (dense indices, correct
-    hash links); :meth:`audit` re-checks them plus the signatures, for
-    logs loaded from untrusted storage.
+    The log enforces its own invariants on append (dense positions,
+    correct hash links); :func:`check_anchors` re-checks them plus the
+    signatures, for logs loaded from untrusted storage.
     """
 
     entries: List[WitnessAnchor] = field(default_factory=list)
@@ -140,52 +132,27 @@ class AnchorLog:
         """Append one anchor.
 
         Raises:
-            VerificationError: If the anchor's index or hash link does
+            VerificationError: If the anchor's position or hash link does
                 not continue the log (append-only means no gaps, no
                 rewrites).
         """
-        if anchor.index != len(self.entries):
+        if anchor.position != len(self.entries):
             raise VerificationError(
-                f"anchor index {anchor.index} does not continue the log "
-                f"(expected {len(self.entries)})"
+                f"anchor position {anchor.position} does not continue the "
+                f"log (expected {len(self.entries)})"
             )
         if anchor.prev_digest != self.head_digest():
             raise VerificationError(
-                f"anchor {anchor.index} does not hash-link to the log head"
+                f"anchor {anchor.position} does not hash-link to the log head"
             )
         self.entries.append(anchor)
 
-    def latest_for(self, object_id: str) -> Optional[WitnessAnchor]:
-        """The most recent anchor covering ``object_id``, if any."""
+    def latest_for(self, object_id: str) -> Optional[Checkpoint]:
+        """The most recent checkpoint anchored for ``object_id``, if any."""
         for anchor in reversed(self.entries):
-            if anchor.object_id == object_id:
-                return anchor
+            if anchor.checkpoint.object_id == object_id:
+                return anchor.checkpoint
         return None
-
-    def audit(self, verifier: SignatureVerifier) -> Tuple[Tuple[int, str], ...]:
-        """Integrity problems in the log itself, as ``(index, reason)``.
-
-        Checks dense indexing, hash-link continuity, and every witness
-        signature.  An empty result means the log is exactly what the
-        witness wrote, in order, with nothing dropped.
-        """
-        problems: List[Tuple[int, str]] = []
-        prev_digest = b""
-        for position, anchor in enumerate(self.entries):
-            if anchor.index != position:
-                problems.append(
-                    (position, f"entry carries index {anchor.index}; log is not dense")
-                )
-            if anchor.prev_digest != prev_digest:
-                problems.append(
-                    (position, "hash link to the previous entry is broken")
-                )
-            if not verifier.verify(anchor.payload(), anchor.signature):
-                problems.append(
-                    (position, "witness signature does not verify")
-                )
-            prev_digest = anchor.entry_digest()
-        return tuple(problems)
 
     def save(self, path: str) -> None:
         """Persist as JSONL (atomic via temp-file rename)."""
@@ -221,7 +188,7 @@ class AnchorLog:
 
 
 class Witness:
-    """A notary countersigning chain tails into an :class:`AnchorLog`.
+    """A notary countersigning checkpoints into an :class:`AnchorLog`.
 
     Args:
         scheme: The witness's own signature scheme — its key is NOT any
@@ -248,18 +215,16 @@ class Witness:
         """Public-material-only counterpart for auditors and monitors."""
         return self._scheme.verifier()
 
-    def anchor_tail(self, object_id: str, seq_id: int, checksum: bytes) -> WitnessAnchor:
-        """Countersign one chain tail and append it to the log."""
-        index = len(self.log)
+    def anchor(self, checkpoint: Checkpoint) -> WitnessAnchor:
+        """Countersign one checkpoint and append it to the log."""
+        position = len(self.log)
         prev_digest = self.log.head_digest()
         anchor = WitnessAnchor(
-            index=index,
-            object_id=object_id,
-            seq_id=seq_id,
-            checksum=checksum,
+            position=position,
+            checkpoint=checkpoint,
             prev_digest=prev_digest,
             signature=self._scheme.sign(
-                _anchor_payload(index, object_id, seq_id, checksum, prev_digest)
+                _anchor_payload(position, checkpoint, prev_digest)
             ),
         )
         self.log.append(anchor)
@@ -269,9 +234,10 @@ class Witness:
         """Anchor every object's current chain tail (one witness round).
 
         Objects whose tail is already covered by their latest anchor are
-        skipped, so an idle store produces no new entries.  Iteration is
-        over sorted object ids — the log contents depend only on the
-        sequence of store states, never on iteration order.
+        skipped after one tail comparison, so an idle store produces no
+        new entries and reads no chain.  Iteration is over sorted object
+        ids — the log contents depend only on the sequence of store
+        states, never on iteration order.
         """
         fresh: List[WitnessAnchor] = []
         for object_id in sorted(store.object_ids()):
@@ -285,52 +251,62 @@ class Witness:
                 and covered.checksum == tail.checksum
             ):
                 continue
-            fresh.append(self.anchor_tail(object_id, tail.seq_id, tail.checksum))
+            chain = store.records_for(object_id)
+            fresh.append(self.anchor(Checkpoint.after(chain, len(chain))))
         return tuple(fresh)
 
 
 def check_anchors(
-    store, log: AnchorLog, verifier: SignatureVerifier
-) -> Tuple[Tuple[str, int, str], ...]:
-    """Every way the store contradicts the witness, as
-    ``(object_id, seq_id, reason)`` in deterministic (log) order.
+    records,
+    log: AnchorLog,
+    verifier: SignatureVerifier,
+    objects: Optional[Iterable[str]] = None,
+) -> Tuple[VerificationFailure, ...]:
+    """Every way ``records`` contradicts the witness, in log order.
 
-    Three classes of mismatch:
+    ``records`` is any record lookup with ``get(object_id, seq_id)``: a
+    provenance store, or a :class:`~repro.core.shipment.Shipment` with
+    ``objects`` limited to the shipped objects (``None`` checks every
+    anchored object).  Two failure codes:
 
-    - the log itself is damaged (broken link / bad witness signature) —
-      an insider tampered with the *anchors*;
-    - an anchored record is missing from the store — history truncated
-      past an anchor;
-    - an anchored record exists with a different checksum — history
-      rewritten past an anchor (the full-coalition attack).
+    - ``ANCHOR`` — the log itself is damaged (a position gap, a broken
+      hash link, a bad witness signature): an insider tampered with the
+      *anchors*.  Checked for every entry, whatever ``objects`` says.
+    - ``R7`` — an anchored record is missing (history truncated past the
+      anchor) or carries a different checksum (history rewritten past
+      the anchor: the full-coalition attack).
 
-    Reads the store directly (no shipment needed) so the monitor can
+    Reads records directly (no verification pass) so the monitor can
     evaluate it every tick, even on the idle fast path.
     """
-    mismatches: List[Tuple[str, int, str]] = []
-    for position, reason in log.audit(verifier):
-        anchor = log.entries[position]
-        mismatches.append(
-            (anchor.object_id, anchor.seq_id, f"anchor log entry {position}: {reason}")
-        )
-    for anchor in log:
-        record = store.get(anchor.object_id, anchor.seq_id)
+    wanted = None if objects is None else set(objects)
+    failures: List[VerificationFailure] = []
+    prev_digest = b""
+    for position, anchor in enumerate(log):
+        checkpoint = anchor.checkpoint
+
+        def fail(requirement: str, message: str) -> None:
+            failures.append(VerificationFailure(
+                requirement, checkpoint.object_id, message, checkpoint.seq_id
+            ))
+
+        if anchor.position != position:
+            fail("ANCHOR", f"anchor log entry {position}: entry carries "
+                           f"position {anchor.position}; log is not dense")
+        if anchor.prev_digest != prev_digest:
+            fail("ANCHOR", f"anchor log entry {position}: hash link to the "
+                           "previous entry is broken")
+        if not verifier.verify(anchor.payload(), anchor.signature):
+            fail("ANCHOR", f"anchor log entry {position}: witness signature "
+                           "does not verify")
+        prev_digest = anchor.entry_digest()
+        if wanted is not None and checkpoint.object_id not in wanted:
+            continue
+        record = records.get(checkpoint.object_id, checkpoint.seq_id)
         if record is None:
-            mismatches.append(
-                (
-                    anchor.object_id,
-                    anchor.seq_id,
-                    f"anchored record #{anchor.seq_id} is missing from the "
-                    "store (history truncated past the anchor)",
-                )
-            )
-        elif record.checksum != anchor.checksum:
-            mismatches.append(
-                (
-                    anchor.object_id,
-                    anchor.seq_id,
-                    f"record #{anchor.seq_id} contradicts its witness anchor "
-                    "(history rewritten past the anchor)",
-                )
-            )
-    return tuple(mismatches)
+            fail("R7", f"anchored record #{checkpoint.seq_id} is missing "
+                       "(history truncated past the anchor)")
+        elif record.checksum != checkpoint.checksum:
+            fail("R7", f"record #{checkpoint.seq_id} contradicts its witness "
+                       "anchor (history rewritten past the anchor)")
+    return tuple(failures)

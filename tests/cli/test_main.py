@@ -128,6 +128,16 @@ class TestCommands:
         assert run(lab, "verify", "x", "--anchors") == 0
         assert "VERIFIED" in capsys.readouterr().out
 
+    def test_verify_anchors_writes_nothing(self, lab):
+        """Checking anchors reads only the log and the witness's public
+        key: on a workspace that never anchored, no key or log appears."""
+        from pathlib import Path
+
+        run(lab, "insert", "x", "1", "--as", "alice")
+        before = sorted(str(p) for p in Path(lab).rglob("*"))
+        assert run(lab, "verify", "x", "--anchors") == 0
+        assert sorted(str(p) for p in Path(lab).rglob("*")) == before
+
     def test_anchor_detects_store_truncation(self, lab, capsys):
         """Truncating the provenance database behind the system's back is
         caught by the anchored checksum."""

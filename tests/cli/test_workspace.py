@@ -86,21 +86,17 @@ class TestAnchors:
             alice = ws.enroll("alice")
             db = ws.database()
             db.session(alice).insert("x", 1)
-            service = ws.anchor_service()
-            ws.save_anchor(service.anchor_latest(db, "x"))
+            ws.anchor("x")
         with Workspace(path) as reopened:
-            receipts = reopened.anchor_receipts()
+            receipts = reopened.anchor_log().entries
             assert len(receipts) == 1
-            assert receipts[0].object_id == "x"
-            # The reloaded service continues the counter and verifies its
-            # own earlier receipts.
-            service = reopened.anchor_service()
-            assert service.verifier().verify(
-                receipts[0].payload(), receipts[0].signature
-            )
+            assert receipts[0].checkpoint.object_id == "x"
+            # The reloaded witness continues the log and verifies its
+            # own earlier entries.
             db = reopened.database()
-            next_receipt = service.anchor_latest(db, "x")
-            assert next_receipt.counter == receipts[0].counter + 1
+            assert reopened.check_anchors(db.provenance_store) == ()
+            next_receipt = reopened.anchor("x")
+            assert next_receipt.position == receipts[0].position + 1
 
 
 class TestDatabase:

@@ -1,13 +1,13 @@
-"""Unit tests for incremental (checkpoint-based) verification."""
+"""Unit tests for incremental (checkpoint-resumed) recipient verification."""
 
 import dataclasses
 
 import pytest
 
-from repro.core.incremental import Checkpoint, verify_extension
 from repro.core.verifier import Verifier
 from repro.exceptions import VerificationError
 from repro.provenance.snapshot import SubtreeSnapshot
+from repro.provenance.store import Checkpoint
 
 
 @pytest.fixture
@@ -34,13 +34,13 @@ class TestCheckpoint:
 
     def test_json_roundtrip(self, world):
         _, _, _, checkpoint = world
-        assert Checkpoint.from_json(checkpoint.to_json()) == checkpoint
+        assert Checkpoint.from_dict(checkpoint.to_dict()) == checkpoint
 
     def test_malformed_json_rejected(self):
         with pytest.raises(VerificationError):
-            Checkpoint.from_json("{}")
+            Checkpoint.from_dict({})
         with pytest.raises(VerificationError):
-            Checkpoint.from_json("not json")
+            Checkpoint.from_dict("not json")
 
 
 class TestVerifyExtension:
@@ -56,7 +56,7 @@ class TestVerifyExtension:
         session.update("feed", 3)
         db.session(participants["p2"]).update("feed", 4)
         snapshot, records = self._delivery(db, checkpoint)
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert report.ok, report.summary()
         assert report.records_checked == 2
 
@@ -64,7 +64,7 @@ class TestVerifyExtension:
         db, _, verifier, checkpoint = world
         snapshot, records = self._delivery(db, checkpoint)
         assert records == []
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert report.ok
 
     def test_full_chain_reshipped_is_fine(self, world):
@@ -72,7 +72,7 @@ class TestVerifyExtension:
         session.update("feed", 3)
         snapshot = SubtreeSnapshot.capture(db.store, "feed")
         all_records = db.provenance_of("feed")  # includes verified prefix
-        report = verify_extension(verifier, checkpoint, snapshot, all_records)
+        report = verifier.verify(snapshot, all_records, resume=checkpoint)
         assert report.ok
         assert report.records_checked == 1  # only the new record
 
@@ -82,7 +82,7 @@ class TestVerifyExtension:
         snapshot, records = self._delivery(db, checkpoint)
         forged_input = dataclasses.replace(records[0].inputs[0], digest=b"\x00" * 20)
         records[0] = dataclasses.replace(records[0], inputs=(forged_input,))
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert not report.ok
         assert "R1" in report.requirement_codes()
 
@@ -91,7 +91,7 @@ class TestVerifyExtension:
         session.update("feed", 3)
         session.update("feed", 4)
         snapshot, records = self._delivery(db, checkpoint)
-        report = verify_extension(verifier, checkpoint, snapshot, records[1:])
+        report = verifier.verify(snapshot, records[1:], resume=checkpoint)
         assert not report.ok
         assert "R2" in report.requirement_codes()
 
@@ -100,7 +100,7 @@ class TestVerifyExtension:
         session.update("feed", 3)
         snapshot, records = self._delivery(db, checkpoint)
         records[0] = records[0].with_checksum(b"\x00" * len(records[0].checksum))
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert not report.ok
         assert "R1" in report.requirement_codes()
 
@@ -109,7 +109,7 @@ class TestVerifyExtension:
         snapshot = SubtreeSnapshot.capture(db.store, "feed")  # state at seq 1
         session.update("feed", 3)
         records = [r for r in db.provenance_of("feed") if r.seq_id > checkpoint.seq_id]
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert not report.ok
         assert "R4" in report.requirement_codes()
 
@@ -117,7 +117,7 @@ class TestVerifyExtension:
         db, session, verifier, checkpoint = world
         db.session(participants["p2"]).insert("other", 9)
         snapshot = SubtreeSnapshot.capture(db.store, "other")
-        report = verify_extension(verifier, checkpoint, snapshot, [])
+        report = verifier.verify(snapshot, [], resume=checkpoint)
         assert not report.ok
         assert "R5" in report.requirement_codes()
 
@@ -135,7 +135,7 @@ class TestVerifyExtension:
             output=dataclasses.replace(agg.output, object_id="feed"),
         )
         snapshot = SubtreeSnapshot.capture(db.store, "feed")
-        report = verify_extension(verifier, checkpoint, snapshot, [relabelled])
+        report = verifier.verify(snapshot, [relabelled], resume=checkpoint)
         assert not report.ok
         assert "STRUCT" in report.requirement_codes()
 
@@ -144,7 +144,7 @@ class TestVerifyExtension:
         session.update("feed", 3)
         snapshot, records = self._delivery(db, checkpoint)
         records[0] = dataclasses.replace(records[0], participant_id="stranger")
-        report = verify_extension(verifier, checkpoint, snapshot, records)
+        report = verifier.verify(snapshot, records, resume=checkpoint)
         assert not report.ok
         assert "PKI" in report.requirement_codes()
 
@@ -152,13 +152,13 @@ class TestVerifyExtension:
         db, session, verifier, checkpoint = world
         session.update("feed", 3)
         snapshot, records = self._delivery(db, checkpoint)
-        assert verify_extension(verifier, checkpoint, snapshot, records).ok
+        assert verifier.verify(snapshot, records, resume=checkpoint).ok
         # Recipient rolls the checkpoint forward and verifies the next drop.
         new_checkpoint = Checkpoint.from_records(
             "feed", list(db.provenance_of("feed"))
         )
         session.update("feed", 4)
         snapshot2, records2 = self._delivery(db, new_checkpoint)
-        report = verify_extension(verifier, new_checkpoint, snapshot2, records2)
+        report = verifier.verify(snapshot2, records2, resume=new_checkpoint)
         assert report.ok
         assert report.records_checked == 1

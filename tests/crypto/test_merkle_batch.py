@@ -238,10 +238,10 @@ def test_proofs_survive_store_and_shipment_roundtrips(tmp_path):
 
 
 def test_incremental_verification_accepts_merkle_extensions():
-    from repro.core.incremental import Checkpoint, verify_extension
     from repro.core.system import TamperEvidentDatabase
     from repro.core.verifier import Verifier
     from repro.provenance.snapshot import SubtreeSnapshot
+    from repro.provenance.store import Checkpoint
 
     db = TamperEvidentDatabase(
         key_bits=512, rng=random.Random(2), signature_scheme="merkle-batch"
@@ -256,15 +256,15 @@ def test_incremental_verification_accepts_merkle_extensions():
     session.update("x", 3)
     new_records = list(db.provenance_of("x"))
     snapshot = SubtreeSnapshot.capture(db.store, "x")
-    report = verify_extension(verifier, checkpoint, snapshot, new_records)
+    report = verifier.verify(snapshot, new_records, resume=checkpoint)
     assert report.ok, report.summary()
     # A tampered extension record still fails R1.
     tail = new_records[-1]
     bad = tail.with_proof(
         dataclasses.replace(tail.proof, epoch=tail.proof.epoch + 7)
     )
-    report = verify_extension(
-        verifier, checkpoint, snapshot, new_records[:-1] + [bad]
+    report = verifier.verify(
+        snapshot, new_records[:-1] + [bad], resume=checkpoint
     )
     assert not report.ok
     assert report.failures[0].requirement == "R1"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import random
 
 import pytest
 
@@ -18,7 +20,18 @@ from repro.monitor import (
     WatermarkRegressionRule,
     default_rules,
 )
-from repro.provenance.store import InMemoryProvenanceStore, VerifiedWatermark
+from repro.core.system import TamperEvidentDatabase
+from repro.core.verifier import Verifier
+from repro.provenance.store import (
+    Checkpoint,
+    InMemoryProvenanceStore,
+    SQLiteProvenanceStore,
+)
+
+from tests.conftest import TEST_KEY_BITS
+
+STORE_KINDS = ("memory", "sqlite")
+SCHEMES = ("rsa-pkcs1v15", "merkle-batch")
 
 
 def _grow(tedb, participants, objects=3, updates=2):
@@ -36,6 +49,41 @@ def _forge_tail(store, object_id):
     victim = chain[-1]
     chain[-1] = dataclasses.replace(
         victim, checksum=b"\x00" * max(1, len(victim.checksum))
+    )
+
+
+def _world(tmp_path, store_kind, scheme="rsa-pkcs1v15"):
+    """A grown database on a memory or SQLite store, signed under ``scheme``."""
+    store = (
+        SQLiteProvenanceStore(str(tmp_path / "prov.db"))
+        if store_kind == "sqlite" else InMemoryProvenanceStore()
+    )
+    db = TamperEvidentDatabase(
+        key_bits=TEST_KEY_BITS, rng=random.Random(0x5EA), provenance_store=store,
+        signature_scheme=scheme,
+    )
+    return db, _grow(db, {"p1": db.enroll("writer")})
+
+
+def _overwrite(store, record):
+    """Replace a stored record in place (attacker with raw store access)."""
+    if isinstance(store, SQLiteProvenanceStore):
+        with store._conn:
+            store._conn.execute(
+                "UPDATE provenance SET payload = ? WHERE object_id = ? AND seq_id = ?",
+                (json.dumps(record.to_dict()), record.object_id, record.seq_id),
+            )
+        return
+    chain = store._chains[record.object_id]
+    chain[[r.seq_id for r in chain].index(record.seq_id)] = record
+
+
+def _zero_output_digest(record):
+    return dataclasses.replace(
+        record,
+        output=dataclasses.replace(
+            record.output, digest=b"\x00" * len(record.output.digest)
+        ),
     )
 
 
@@ -228,35 +276,58 @@ class TestTamperDetection:
         tedb, _, monitor = monitored
         store = tedb.provenance_store
         tail = store.records_for("obj0")[-1]
-        store.set_watermark(
-            VerifiedWatermark("obj0", 0, tail.seq_id, tail.checksum)
-        )
+        store.set_watermark(Checkpoint(
+            "obj0", 0, tail.seq_id, tail.checksum, tail.output.digest,
+            tail.participant_id,
+        ))
         result = monitor.tick()
         assert result.health == "tampered"
         assert any(
             "malformed watermark" in reason for _, reason in result.regressions
         )
 
-    def test_covered_payload_forgery_needs_full_scan(self, monitored):
-        # The documented watermark blind spot: an in-place edit of a
-        # *covered* record that preserves the checksum bytes is invisible
-        # to an incremental tick (the anchor binds (seq, checksum), not
-        # the payload) — and exactly what tick(full=True) exists to catch.
-        tedb, _, monitor = monitored
+    @pytest.mark.parametrize(
+        "store_kind,scheme",
+        [(kind, scheme) for kind in STORE_KINDS for scheme in SCHEMES],
+    )
+    def test_covered_payload_forgery_needs_full_scan(
+        self, tmp_path, store_kind, scheme
+    ):
+        # The documented watermark blind spot (DESIGN.md §9): a "balanced"
+        # behind-anchor edit — an interior record rewritten in place, so
+        # every chain tail and the record count are intact — is invisible
+        # to the idle fast path, and exactly what tick(full=True) exists
+        # to catch.  ROADMAP item 4 is to close the idle half.
+        db, _ = _world(tmp_path, store_kind, scheme)
+        store = db.provenance_store
+        monitor = ProvenanceMonitor(store, db.keystore())
         monitor.tick()
-        store = tedb.provenance_store
-        chain = store._chains["obj1"]
-        victim = chain[-1]
-        chain[-1] = dataclasses.replace(
-            victim,
-            output=dataclasses.replace(
-                victim.output, digest=b"\x00" * len(victim.output.digest)
-            ),
-        )
-        assert monitor.tick().health == "ok"  # idle: tail checksum intact
+        _overwrite(store, _zero_output_digest(store.records_for("obj1")[1]))
+        idle = monitor.tick()
+        assert idle.mode == "idle" and idle.health == "ok"
         full = monitor.tick(full=True)
         assert full.health == "tampered"
         assert monitor.accumulated_tally()
+
+    @pytest.mark.parametrize("store_kind", STORE_KINDS)
+    def test_anchor_record_edit_is_caught_at_the_seam(self, tmp_path, store_kind):
+        # The suffix walk resumes from the stored checkpoint, so an edit
+        # of the former tail's output digest that keeps its checksum must
+        # not be trusted: the tick stays incremental, flags tampering, and
+        # accumulates exactly what a one-shot full verify reports.
+        db, session = _world(tmp_path, store_kind)
+        store = db.provenance_store
+        monitor = ProvenanceMonitor(store, db.keystore())
+        assert monitor.tick().mode == "cold"
+        former_tail = store.records_for("obj0")[-1]
+        session.update("obj0", 999)
+        _overwrite(store, _zero_output_digest(former_tail))
+        result = monitor.tick()
+        assert result.mode == "incremental"
+        assert result.health == "tampered"
+        full = Verifier(db.keystore()).verify_records(list(store.all_records()))
+        assert not full.ok
+        assert monitor.accumulated_failures() == full.failures
 
 
 class TestObservation:
@@ -465,7 +536,7 @@ class TestEmptyStore:
 
     def test_stale_watermark_without_chain_is_regression(self, keystore):
         store = InMemoryProvenanceStore()
-        store.set_watermark(VerifiedWatermark("ghost", 3, 2, b"\x01"))
+        store.set_watermark(Checkpoint("ghost", 3, 2, b"\x01", b"\x02", "p1"))
         monitor = ProvenanceMonitor(store, keystore)
         result = monitor.tick()
         assert result.health == "tampered"

@@ -13,9 +13,9 @@ from repro.provenance.registry import (
     tenant_store_paths,
 )
 from repro.provenance.store import (
+    Checkpoint,
     InMemoryProvenanceStore,
     ProvenanceStore,
-    VerifiedWatermark,
 )
 
 
@@ -173,8 +173,9 @@ class TestCrashSurface:
         store = make_store()
         for oid in OBJECTS[:4]:
             store.append(record_for(oid, 0, Operation.INSERT))
-            store.set_watermark(VerifiedWatermark(
+            store.set_watermark(Checkpoint(
                 object_id=oid, index=1, seq_id=0, checksum=b"\xcd" * 64,
+                output_digest=b"\xab" * 20, participant_id="p1",
             ))
         assert [wm.object_id for wm in store.watermarks()] == sorted(OBJECTS[:4])
         assert store.get_watermark(OBJECTS[0]).index == 1

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.verifier import Verifier
 from repro.exceptions import ProvenanceError
 from repro.provenance.records import CustodyTransfer, Operation, ProvenanceRecord
+from repro.provenance.store import Checkpoint
 from repro.trust.custody import (
     build_transfer_record,
     fabricate_handoff,
@@ -82,6 +84,23 @@ def test_fabricated_handoff_is_custody_tampering(world):
     report = tampered.verify_with_ca(world.db.ca.public_key, world.db.ca.name)
     assert not report.ok
     assert "CUSTODY" in report.failure_tally()
+
+
+def test_forged_handoff_right_after_a_checkpoint_is_custody_tampering(world):
+    """A recipient resuming from a checkpoint sees the same CUSTODY
+    failure as a full verification: the checkpoint carries the tail's
+    author, so the outgoing-custodian check runs at the seam too."""
+    verifier = Verifier(world.db.keystore())
+    checkpoint = Checkpoint.from_records("x", world.shipment.records)
+    forged = fabricate_handoff(
+        world.shipment, "x", world.mallory, claimed_from="mallory"
+    )
+    full = verifier.verify(forged.snapshot, forged.records, "x")
+    resumed = verifier.verify(forged.snapshot, forged.records, resume=checkpoint)
+    custody = [f for f in full.failures if f.requirement == "CUSTODY"]
+    assert custody
+    assert not resumed.ok
+    assert [f for f in resumed.failures if f.requirement == "CUSTODY"] == custody
 
 
 def test_reattributed_handoff_is_custody_tampering(world):

@@ -23,15 +23,16 @@ def witness():
 def test_tick_anchors_every_tail_once(world, witness):
     store = world.db.provenance_store
     fresh = witness.tick(store)
-    assert [a.object_id for a in fresh] == ["x", "y"]
+    assert [a.checkpoint.object_id for a in fresh] == ["x", "y"]
     assert all(
-        a.seq_id == store.latest(a.object_id).seq_id for a in fresh
+        a.checkpoint.seq_id == store.latest(a.checkpoint.object_id).seq_id
+        for a in fresh
     )
     # Idle store → nothing new; one update → exactly one new anchor.
     assert witness.tick(store) == ()
     world.db.session(world.alice).update("y", 101)
     again = witness.tick(store)
-    assert [a.object_id for a in again] == ["y"]
+    assert [a.checkpoint.object_id for a in again] == ["y"]
     assert len(witness.log) == 3
 
 
@@ -39,22 +40,26 @@ def test_log_rejects_gaps_and_broken_links(world, witness):
     witness.tick(world.db.provenance_store)
     good = witness.log.entries[-1]
     with pytest.raises(VerificationError, match="does not continue"):
-        witness.log.append(dataclasses.replace(good, index=good.index + 2))
+        witness.log.append(dataclasses.replace(good, position=good.position + 2))
     with pytest.raises(VerificationError, match="hash-link"):
         witness.log.append(
-            dataclasses.replace(good, index=len(witness.log), prev_digest=b"xx")
+            dataclasses.replace(good, position=len(witness.log), prev_digest=b"xx")
         )
 
 
 def test_log_audit_catches_insider_edits(world, witness):
-    witness.tick(world.db.provenance_store)
-    assert witness.log.audit(witness.verifier()) == ()
+    store = world.db.provenance_store
+    witness.tick(store)
+    assert check_anchors(store, witness.log, witness.verifier()) == ()
     # An insider swaps an anchored checksum: the witness signature no
     # longer covers the payload, and the next entry's link breaks.
     original = witness.log.entries[0]
-    witness.log.entries[0] = dataclasses.replace(original, checksum=b"\x00" * 20)
-    problems = witness.log.audit(witness.verifier())
-    reasons = [reason for _, reason in problems]
+    witness.log.entries[0] = dataclasses.replace(
+        original,
+        checkpoint=dataclasses.replace(original.checkpoint, checksum=b"\x00" * 20),
+    )
+    problems = check_anchors(store, witness.log, witness.verifier())
+    reasons = [f.message for f in problems if f.requirement == "ANCHOR"]
     assert any("signature" in reason for reason in reasons)
     assert any("hash link" in reason for reason in reasons)
 
@@ -65,7 +70,8 @@ def test_log_save_load_roundtrip(world, witness, tmp_path):
     witness.log.save(path)
     loaded = AnchorLog.load(path)
     assert loaded.entries == witness.log.entries
-    assert loaded.audit(witness.verifier()) == ()
+    store = world.db.provenance_store
+    assert check_anchors(store, loaded, witness.verifier()) == ()
     assert AnchorLog.load(str(tmp_path / "missing.jsonl")).entries == []
 
 
@@ -73,7 +79,7 @@ def test_anchor_serialization_roundtrip(world, witness):
     anchor = witness.tick(world.db.provenance_store)[0]
     assert WitnessAnchor.from_dict(anchor.to_dict()) == anchor
     with pytest.raises(VerificationError, match="malformed"):
-        WitnessAnchor.from_dict({"index": "nope"})
+        WitnessAnchor.from_dict({"position": "nope"})
 
 
 def test_check_anchors_flags_rewrite_and_truncation(world, witness):
@@ -86,13 +92,13 @@ def test_check_anchors_flags_rewrite_and_truncation(world, witness):
         store, "x", tail.seq_id, list(world.participants.values()), 31337
     )
     mismatches = check_anchors(store, witness.log, witness.verifier())
-    assert [(m[0], m[1]) for m in mismatches] == [("x", tail.seq_id)]
-    assert "rewritten" in mismatches[0][2]
+    assert [(m.object_id, m.seq_id) for m in mismatches] == [("x", tail.seq_id)]
+    assert "rewritten" in mismatches[0].message
     # Truncating y past its anchor is a second, distinct mismatch class.
     y_tail = store.latest("y")
     store.discard("y", y_tail.seq_id)
     mismatches = check_anchors(store, witness.log, witness.verifier())
-    assert any("missing" in reason for _, _, reason in mismatches)
+    assert any("missing" in m.message for m in mismatches)
 
 
 def test_witnessed_monitor_closes_the_full_coalition_gap(world, witness):
