@@ -1722,11 +1722,11 @@ def _dispatch(args) -> int:
 
         if args.command == "audit":
             report = db.verify(args.object_id)
-            print(audit_trail(db.dag(), args.object_id, report))
+            print(audit_trail(db.dag(args.object_id), args.object_id, report))
             return 0 if report.ok else 1
 
         if args.command == "lineage":
-            print(lineage_summary(db.dag(), args.object_id))
+            print(lineage_summary(db.dag(args.object_id), args.object_id))
             return 0
 
         if args.command == "history":
@@ -1771,7 +1771,9 @@ def _dispatch(args) -> int:
         if args.command == "dot":
             from repro.audit.dot import to_dot
 
-            text = to_dot(db.dag(), args.object_id, include_notes=args.notes)
+            text = to_dot(
+                db.dag(args.object_id), args.object_id, include_notes=args.notes
+            )
             if args.output:
                 with open(args.output, "w") as f:
                     f.write(text)

@@ -166,14 +166,22 @@ class TamperEvidentDatabase:
 
         The object's chain plus — through aggregation records — the chains
         of every contributing object, in topological order.  This is what
-        accompanies the data object to a recipient.
+        accompanies the data object to a recipient.  Only the object's
+        closure is read (:meth:`ProvenanceDAG.of`), so the cost follows
+        the size of this history, not of the store; the tuple and its
+        order equal the whole-store DAG's ``ancestry(object_id)``.
         """
-        dag = ProvenanceDAG(self.provenance_store.all_records())
-        return dag.ancestry(object_id)
+        return self.dag(object_id).ancestry(object_id)
 
-    def dag(self) -> ProvenanceDAG:
-        """DAG over every record in the provenance store."""
-        return ProvenanceDAG(self.provenance_store.all_records())
+    def dag(self, object_id: Optional[str] = None) -> ProvenanceDAG:
+        """DAG over ``object_id``'s closure, or over every record if None.
+
+        Per-object queries (ancestry, lineage, DOT of one object) answer
+        the same from either; whole-store views need ``object_id=None``.
+        """
+        if object_id is None:
+            return ProvenanceDAG(self.provenance_store.all_records())
+        return ProvenanceDAG.of(self.provenance_store, object_id)
 
     def ship(self, object_id: str):
         """Package ``object_id`` (data + provenance + certificates).

@@ -57,10 +57,10 @@ def compactable_objects(
     if tracked == live:
         return ()
 
-    dag = ProvenanceDAG(provenance_store.all_records())
     needed: Set[str] = set()
     for object_id in live:
-        needed.update(record.object_id for record in dag.ancestry(object_id))
+        ancestry = ProvenanceDAG.of(provenance_store, object_id).ancestry(object_id)
+        needed.update(record.object_id for record in ancestry)
     return tuple(sorted(tracked - live - needed))
 
 

@@ -21,6 +21,7 @@ import networkx as nx
 
 from repro.exceptions import BrokenChainError
 from repro.provenance.records import Operation, ProvenanceRecord
+from repro.provenance.store import ProvenanceStore
 
 __all__ = ["ProvenanceDAG"]
 
@@ -28,7 +29,43 @@ RecordKey = Tuple[str, int]
 
 
 class ProvenanceDAG:
-    """DAG over a set of provenance records."""
+    """DAG over a set of provenance records.
+
+    ``ProvenanceDAG(records)`` builds over any record set, for example
+    ``store.all_records()`` for a whole-store view;
+    ``ProvenanceDAG.of(store, object_id)`` builds over one object's
+    closure and answers that object's queries identically.
+    """
+
+    @classmethod
+    def of(cls, store: ProvenanceStore, object_id: str) -> "ProvenanceDAG":
+        """The DAG over ``object_id``'s closure, read chain by chain.
+
+        Starts from the object's own chain and follows the input object
+        ids of every ``AGGREGATE`` record to their chains, recursively
+        (Definition 1).  Aggregates later in a reached chain are followed
+        too, so a few chains beyond the ancestry may be read; harmless,
+        since :meth:`ancestry` still selects the exact set.
+
+        Two rules keep every answer about ``object_id`` identical to the
+        whole-store DAG's.  Whole chains are read, so each aggregation
+        edge finds the same source record.  Records are fed in the
+        store's global ``(object_id, seq_id)`` order, the order of
+        ``all_records()``, because networkx's topological sort follows
+        insertion order: ``ancestry`` returns the same tuple in the same
+        order, and ``to_dot`` emits the same edges.
+        """
+        chains: Dict[str, Tuple[ProvenanceRecord, ...]] = {}
+        pending = [object_id]
+        while pending:
+            current = pending.pop()
+            if current in chains:
+                continue
+            chains[current] = store.records_for(current)
+            for record in chains[current]:
+                if record.operation is Operation.AGGREGATE:
+                    pending.extend(state.object_id for state in record.inputs)
+        return cls(record for oid in sorted(chains) for record in chains[oid])
 
     def __init__(self, records: Iterable[ProvenanceRecord]):
         self._records: Dict[RecordKey, ProvenanceRecord] = {}

@@ -439,8 +439,8 @@ class ProvenanceService:
         self._boundary()
         world = self.world(tenant_id)
         with world.lock:
-            dag = world.db.dag()
-            if object_id not in world.store.object_ids():
+            dag = world.db.dag(object_id)
+            if dag.terminal(object_id) is None:
                 raise UnknownObjectError(
                     f"tenant {tenant_id!r} has no provenance for {object_id!r}"
                 )

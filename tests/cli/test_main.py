@@ -178,6 +178,28 @@ class TestCommands:
         assert run(lab, "dot", "x", "-o", target) == 0
         assert open(target).read().startswith("digraph")
 
+    def test_lineage_and_dot_match_whole_store_dag(self, lab, capsys):
+        from pathlib import Path
+
+        from repro.audit.dot import to_dot
+        from repro.cli.workspace import Workspace
+        from repro.provenance.dag import ProvenanceDAG
+        from repro.query.lineage import lineage_summary
+
+        run(lab, "insert", "a", "1", "--as", "alice")
+        run(lab, "insert", "b", "2", "--as", "bob")
+        run(lab, "insert", "unrelated", "3", "--as", "bob")
+        run(lab, "update", "a", "4", "--as", "bob")
+        run(lab, "aggregate", "c", "a", "b", "--as", "alice")
+        run(lab, "update", "a", "5", "--as", "alice")
+        capsys.readouterr()
+        assert run(lab, "lineage", "c") == 0
+        assert run(lab, "dot", "c") == 0
+        out = capsys.readouterr().out
+        with Workspace(Path(lab)) as ws:
+            full = ProvenanceDAG(ws.database().provenance_store.all_records())
+            assert out == f"{lineage_summary(full, 'c')}\n{to_dot(full, 'c')}\n"
+
     def test_shell_session(self, lab, capsys, monkeypatch):
         import io
 

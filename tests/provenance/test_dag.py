@@ -1,10 +1,15 @@
 """Unit tests for the provenance DAG (Definition 1, Fig 2)."""
 
+import random
+
 import pytest
 
-from repro.exceptions import BrokenChainError
+from repro.core.shipment import Shipment
+from repro.core.system import TamperEvidentDatabase
+from repro.exceptions import BrokenChainError, ReproError
 from repro.provenance.dag import ProvenanceDAG
 from repro.provenance.records import ObjectState, Operation, ProvenanceRecord
+from repro.provenance.registry import open_tenant_store
 
 
 def rec(object_id, seq, op=Operation.UPDATE, inputs=(), participant="p"):
@@ -122,3 +127,118 @@ class TestLiveSystemDAG:
         assert not dag.is_linear("D")
         assert dag.source_objects("D") == ("A", "B")
         assert dag.contributing_participants("D") == ("p1", "p2", "p3")
+
+
+def _seeded_world(seed, root, scheme):
+    """A seeded world on a 3-shard store mixing every record shape.
+
+    Values come from ``range(3)``, so states recur and aggregation
+    sources must be matched among digest-identical records.  Leaf
+    aggregates (a one-node output) can be updated, deleted and then
+    aggregated into again, which continues their existing chain.
+    """
+    rng = random.Random(seed)
+    db = TamperEvidentDatabase(
+        provenance_store=open_tenant_store(root, f"w{seed}", shards=3),
+        key_bits=512, seed=seed, signature_scheme=scheme,
+    )
+    sessions = [db.session(db.enroll(p)) for p in ("p1", "p2", "p3")]
+    roots, leaves, deleted_outputs = [], [], []
+
+    def some(ids):
+        return rng.sample(ids, rng.randint(1, min(3, len(ids))))
+
+    def leaf_output(engine, inputs, output_id):
+        engine.store.insert(output_id, rng.randrange(3), None)
+        return (output_id,)
+
+    for n in range(40):
+        session = rng.choice(sessions)
+        kind = "insert" if len(roots) < 2 or not leaves else rng.choice(
+            ["insert", "child", "update", "update", "aggregate", "leaf-aggregate",
+             "complex", "delete"]
+        )
+        try:
+            if kind == "insert":
+                session.insert(f"o{n}", rng.randrange(3))
+                roots.append(f"o{n}")
+                leaves.append(f"o{n}")
+            elif kind == "child":
+                if "t" not in db.store:
+                    session.insert("t")
+                    roots.append("t")
+                session.insert(f"t/c{n}", rng.randrange(3), parent="t")
+                leaves.append(f"t/c{n}")
+            elif kind == "update":
+                session.update(rng.choice(leaves), rng.randrange(3))
+            elif kind == "aggregate":
+                session.aggregate(some(roots), f"g{n}")
+                roots.append(f"g{n}")
+            elif kind == "leaf-aggregate":
+                output = deleted_outputs.pop() if deleted_outputs else f"s{n}"
+                session.aggregate(some(roots), output, builder=leaf_output)
+                roots.append(output)
+                leaves.append(output)
+            elif kind == "complex":
+                with session.complex_operation(note="batch"):
+                    for target in some(leaves):
+                        session.update(target, rng.randrange(3))
+                    session.insert(f"o{n}", rng.randrange(3))
+                roots.append(f"o{n}")
+                leaves.append(f"o{n}")
+            else:
+                outputs = [leaf for leaf in leaves if leaf.startswith("s")]
+                victim = rng.choice(outputs or leaves)
+                session.delete(victim)
+                leaves.remove(victim)
+                if victim in roots:
+                    roots.remove(victim)
+                if victim.startswith("s"):
+                    deleted_outputs.append(victim)
+        except ReproError:
+            pass  # e.g. re-aggregating into an output whose seq would regress
+    return db
+
+
+class _FullDAGDatabase:
+    """What ``Shipment.build`` reads of a database, over the whole-store DAG."""
+
+    def __init__(self, db):
+        self.store = db.store
+        self.ca = db.ca
+        self._records = db.provenance_store.all_records
+
+    def provenance_object(self, object_id):
+        return ProvenanceDAG(self._records()).ancestry(object_id)
+
+
+class TestClosureDAG:
+    """``ProvenanceDAG.of`` answers exactly as the whole-store DAG."""
+
+    def test_fig2_closures(self, fig2_world):
+        store = fig2_world.provenance_store
+        full = ProvenanceDAG(store.all_records())
+        assert len(ProvenanceDAG.of(store, "B")) == 2
+        assert len(ProvenanceDAG.of(store, "D")) == 7
+        for object_id in ("A", "B", "C", "D", "ghost"):
+            closure = ProvenanceDAG.of(store, object_id)
+            assert closure.ancestry(object_id) == full.ancestry(object_id)
+
+    @pytest.mark.parametrize("scheme", ["rsa", "merkle-batch"])
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_closure_ancestry_equals_full_dag(self, seed, backend, scheme, tmp_path):
+        db = _seeded_world(seed, None if backend == "memory" else str(tmp_path), scheme)
+        with db.provenance_store as store:
+            full = ProvenanceDAG(store.all_records())
+            shapes = set()
+            for object_id in store.object_ids():
+                closure = ProvenanceDAG.of(store, object_id).ancestry(object_id)
+                assert closure == full.ancestry(object_id), object_id
+                shapes.add(full.is_linear(object_id))
+                if object_id in db.store:
+                    assert (
+                        Shipment.build(db, object_id).to_json()
+                        == Shipment.build(_FullDAGDatabase(db), object_id).to_json()
+                    )
+        assert shapes == {True, False}  # linear and non-linear objects alike

@@ -164,6 +164,33 @@ class TestDeterminism:
         finally:
             svc.close()
 
+    def test_verify_and_lineage_never_scan_the_tenant(self, monkeypatch):
+        """Served per-object reads walk the closure, not every record."""
+
+        def scan():
+            raise AssertionError("served read scanned the whole tenant")
+
+        answers = []
+        for guarded in (False, True):
+            svc = ProvenanceService(make_config())
+            try:
+                svc.record("acme", "insert", "a", value=1)
+                svc.record("acme", "insert", "b", value=2)
+                svc.record("acme", "insert", "unrelated", value=3)
+                svc.record("acme", "aggregate", "c", inputs=["a", "b"])
+                if guarded:
+                    monkeypatch.setattr(svc.world("acme").store, "all_records", scan)
+                with pytest.raises(UnknownObjectError) as unknown:
+                    svc.lineage("acme", "ghost")
+                answers.append((
+                    canonical_json(svc.verify("acme", "c")),
+                    canonical_json(svc.lineage("acme", "c")),
+                    str(unknown.value),
+                ))
+            finally:
+                svc.close()
+        assert answers[0] == answers[1]
+
     def test_bad_scheme_rejected_eagerly(self):
         with pytest.raises(Exception):
             ProvenanceService(make_config(signature_scheme="dsa"))
