@@ -18,11 +18,9 @@ on the batched append path with the file sink disabled, **guarded at
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.bench.experiments import run_monitor_bench
-from repro.bench.history import with_meta
+from repro.bench.experiments import bench_main, run_monitor_bench
 
 
 def main(argv=None) -> int:
@@ -38,42 +36,19 @@ def main(argv=None) -> int:
                         help="fresh records before each incremental tick")
     parser.add_argument("--key-bits", type=int, default=512,
                         help="RSA modulus bits for the signing world")
-    parser.add_argument("--speedup-floor", type=float, default=5.0,
-                        help="warm-tick speedup guard (default 5x)")
-    parser.add_argument("--max-events-overhead", type=float, default=0.02,
-                        help="events overhead guard (default 0.02 = 2%%)")
-    parser.add_argument("--json", default=None,
-                        help="where to write the metrics (default "
-                             "BENCH_monitor.json, or skipped under "
-                             "--quick; '-' to skip)")
-    parser.add_argument("--quick", action="store_true",
-                        help="tiny everything, for smoke-testing")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        args.objects, args.updates, args.runs = 150, 1, 1
-    if args.json is None:
-        # Quick smoke runs must not clobber the committed full-scale numbers.
-        args.json = "-" if args.quick else "BENCH_monitor.json"
-
-    result = run_monitor_bench(
-        n_objects=args.objects,
-        updates_per_object=args.updates,
-        key_bits=args.key_bits,
-        runs=args.runs,
-        delta_records=args.delta,
-        warm_speedup_floor=args.speedup_floor,
-        max_events_overhead=args.max_events_overhead,
+    return bench_main(
+        argv, parser,
+        run=lambda args: [run_monitor_bench(
+            n_objects=args.objects,
+            updates_per_object=args.updates,
+            key_bits=args.key_bits,
+            runs=args.runs,
+            delta_records=args.delta,
+        )],
+        quick={"objects": 150, "updates": 1, "runs": 1},
+        json_default="BENCH_monitor.json",
+        name="monitor benchmark",
     )
-    print(result.render())
-    if args.json != "-":
-        with open(args.json, "w") as fh:
-            json.dump(with_meta(result.metrics), fh, indent=2)
-        print(f"\nmetrics written to {args.json}")
-    if not result.metrics["guard"]["ok"]:
-        print("error: monitor benchmark guard FAILED", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

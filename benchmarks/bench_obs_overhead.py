@@ -25,11 +25,33 @@ amortized over its interval.  Skip it with ``--no-service``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.bench.experiments import run_obs_overhead, run_service_obs_overhead
-from repro.bench.history import with_meta
+from repro.bench.experiments import (
+    bench_main,
+    run_obs_overhead,
+    run_service_obs_overhead,
+)
+
+
+def run(args):
+    results = [run_obs_overhead(
+        n_records=args.records,
+        runs=args.runs,
+        verify_objects=args.verify_objects,
+        verify_updates=args.verify_updates,
+        key_bits=args.key_bits,
+    )]
+    if not args.no_service:
+        service = run_service_obs_overhead(
+            n_requests=args.requests,
+            runs=args.runs,
+            key_bits=args.key_bits,
+            monitor_interval=args.monitor_interval,
+        )
+        results[0].metrics["service"] = service.metrics
+        results.append(service)
+    return results
 
 
 def main(argv=None) -> int:
@@ -44,12 +66,6 @@ def main(argv=None) -> int:
                         help="updates per object in the verification world")
     parser.add_argument("--key-bits", type=int, default=512,
                         help="RSA modulus bits for the verification world")
-    parser.add_argument("--max-overhead", type=float, default=0.02,
-                        help="disabled-mode overhead guard (default 0.02 = 2%%)")
-    parser.add_argument("--json", default=None,
-                        help="where to write the metrics (default "
-                             "BENCH_obs_overhead.json, or skipped under "
-                             "--quick; '-' to skip)")
     parser.add_argument("--requests", type=int, default=300,
                         help="HTTP requests in the service arm (default 300)")
     parser.add_argument("--monitor-interval", type=float, default=1.0,
@@ -57,51 +73,14 @@ def main(argv=None) -> int:
                              "idle-tick cost (default 1.0s)")
     parser.add_argument("--no-service", action="store_true",
                         help="skip the live-server service arm")
-    parser.add_argument("--quick", action="store_true",
-                        help="tiny everything, for smoke-testing")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        args.records, args.runs = 2_000, 1
-        args.verify_objects, args.verify_updates = 60, 2
-        args.requests = 80
-    if args.json is None:
-        # Quick smoke runs must not clobber the committed full-scale numbers.
-        args.json = "-" if args.quick else "BENCH_obs_overhead.json"
-
-    result = run_obs_overhead(
-        n_records=args.records,
-        runs=args.runs,
-        verify_objects=args.verify_objects,
-        verify_updates=args.verify_updates,
-        key_bits=args.key_bits,
-        max_disabled_overhead=args.max_overhead,
+    return bench_main(
+        argv, parser,
+        run=run,
+        quick={"records": 2_000, "runs": 1, "verify_objects": 60,
+               "verify_updates": 2, "requests": 80},
+        json_default="BENCH_obs_overhead.json",
+        name="observability overhead",
     )
-    print(result.render())
-    metrics = dict(result.metrics)
-    guard_ok = bool(result.metrics["guard"]["ok"])
-
-    if not args.no_service:
-        service_result = run_service_obs_overhead(
-            n_requests=args.requests,
-            runs=args.runs,
-            key_bits=args.key_bits,
-            monitor_interval=args.monitor_interval,
-            max_overhead=args.max_overhead,
-        )
-        print()
-        print(service_result.render())
-        metrics["service"] = service_result.metrics
-        guard_ok = guard_ok and bool(service_result.metrics["guard"]["ok"])
-
-    if args.json != "-":
-        with open(args.json, "w") as fh:
-            json.dump(with_meta(metrics), fh, indent=2)
-        print(f"\nmetrics written to {args.json}")
-    if not guard_ok:
-        print("error: observability overhead guard FAILED", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

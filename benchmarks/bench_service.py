@@ -23,11 +23,9 @@ Defaults match the acceptance bar: >= 1000 clients across >= 8 tenants.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.bench.experiments import run_service_bench
-from repro.bench.history import with_meta
+from repro.bench.experiments import bench_main, run_service_bench
 
 
 def main(argv=None) -> int:
@@ -44,37 +42,20 @@ def main(argv=None) -> int:
                         help="RSA modulus bits for tenant worlds")
     parser.add_argument("--seed", type=int, default=7,
                         help="seed for worlds and workloads")
-    parser.add_argument("--json", default=None,
-                        help="where to write the metrics (default "
-                             "BENCH_service.json, or skipped under --quick; "
-                             "'-' to skip)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small load, for CI smoke runs")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        args.clients, args.threads = 120, 16
-    if args.json is None:
-        # Quick smoke runs must not clobber the committed full-scale numbers.
-        args.json = "-" if args.quick else "BENCH_service.json"
-
-    result = run_service_bench(
-        clients=args.clients,
-        tenants=args.tenants,
-        threads=args.threads,
-        ops_per_client=args.ops,
-        key_bits=args.key_bits,
-        seed=args.seed,
+    return bench_main(
+        argv, parser,
+        run=lambda args: [run_service_bench(
+            clients=args.clients,
+            tenants=args.tenants,
+            threads=args.threads,
+            ops_per_client=args.ops,
+            key_bits=args.key_bits,
+            seed=args.seed,
+        )],
+        quick={"clients": 120, "threads": 16},
+        json_default="BENCH_service.json",
+        name="service benchmark",
     )
-    print(result.render())
-    if args.json != "-":
-        with open(args.json, "w") as fh:
-            json.dump(with_meta(result.metrics), fh, indent=2)
-        print(f"\nmetrics written to {args.json}")
-    if not result.metrics["guard"]["ok"]:
-        print("error: service benchmark guard FAILED", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

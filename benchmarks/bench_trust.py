@@ -19,11 +19,9 @@ witness anchoring tick vs the already-anchored idle tick (**guarded at
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.bench.experiments import run_trust_bench
-from repro.bench.history import with_meta
+from repro.bench.experiments import bench_main, run_trust_bench
 
 
 def main(argv=None) -> int:
@@ -40,47 +38,20 @@ def main(argv=None) -> int:
                         help="timing repetitions; best-of is reported")
     parser.add_argument("--key-bits", type=int, default=512,
                         help="RSA modulus bits for the signing world")
-    parser.add_argument("--max-handoff-cost", type=float, default=5.0,
-                        help="hand-off append guard (default 5x an update)")
-    parser.add_argument("--max-verify-overhead", type=float, default=3.0,
-                        help="per-record verify guard (default 3x solo)")
-    parser.add_argument("--idle-tick-floor", type=float, default=10.0,
-                        help="idle witness tick speedup guard (default 10x)")
-    parser.add_argument("--json", default=None,
-                        help="where to write the metrics (default "
-                             "BENCH_trust.json, or skipped under "
-                             "--quick; '-' to skip)")
-    parser.add_argument("--quick", action="store_true",
-                        help="tiny everything, for smoke-testing")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        args.objects, args.updates, args.runs = 30, 1, 1
-        args.append_batch = 10
-    if args.json is None:
-        # Quick smoke runs must not clobber the committed full-scale numbers.
-        args.json = "-" if args.quick else "BENCH_trust.json"
-
-    result = run_trust_bench(
-        n_objects=args.objects,
-        updates_per_object=args.updates,
-        handoffs_per_object=args.handoffs,
-        append_batch=args.append_batch,
-        key_bits=args.key_bits,
-        runs=args.runs,
-        max_handoff_cost=args.max_handoff_cost,
-        max_verify_overhead=args.max_verify_overhead,
-        idle_tick_floor=args.idle_tick_floor,
+    return bench_main(
+        argv, parser,
+        run=lambda args: [run_trust_bench(
+            n_objects=args.objects,
+            updates_per_object=args.updates,
+            handoffs_per_object=args.handoffs,
+            append_batch=args.append_batch,
+            key_bits=args.key_bits,
+            runs=args.runs,
+        )],
+        quick={"objects": 30, "updates": 1, "runs": 1, "append_batch": 10},
+        json_default="BENCH_trust.json",
+        name="trust benchmark",
     )
-    print(result.render())
-    if args.json != "-":
-        with open(args.json, "w") as fh:
-            json.dump(with_meta(result.metrics), fh, indent=2)
-        print(f"\nmetrics written to {args.json}")
-    if not result.metrics["guard"]["ok"]:
-        print("error: trust benchmark guard FAILED", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -196,19 +196,16 @@ def main(argv=None) -> int:
         append_entry(args.history, entry)
         print(f"history entry appended to {args.history}")
 
-    failed = False
-    if not overhead.metrics["guard"]["ok"]:
-        print("error: disabled-mode overhead guard FAILED", file=sys.stderr)
-        failed = True
-    if not monitor.metrics["guard"]["ok"]:
-        print("error: monitor benchmark guard FAILED", file=sys.stderr)
-        failed = True
-    if not service.metrics["guard"]["ok"]:
-        print("error: service benchmark guard FAILED", file=sys.stderr)
-        failed = True
-    if not trust.metrics["guard"]["ok"]:
-        print("error: trust benchmark guard FAILED", file=sys.stderr)
-        failed = True
+    failed = [
+        name for name, result in (
+            ("disabled-mode overhead", overhead),
+            ("monitor benchmark", monitor),
+            ("service benchmark", service),
+            ("trust benchmark", trust),
+        ) if not result.guards_ok
+    ]
+    for name in failed:
+        print(f"error: {name} guard FAILED", file=sys.stderr)
     return 1 if failed else 0
 
 

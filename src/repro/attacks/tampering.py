@@ -1,10 +1,12 @@
 """Single-attacker tampering primitives.
 
-All functions are pure: they take a legitimate shipment and return a
-forged one, leaving the original untouched.  The attacker is assumed to
-control the channel completely — they can rewrite records, values, and
-even re-sign anything *with their own key*; what they cannot do is forge
-other participants' signatures or find hash collisions (§2.3).
+All functions but one are pure: they take a legitimate shipment and
+return a forged one, leaving the original untouched.  The attacker is
+assumed to control the channel completely — they can rewrite records,
+values, and even re-sign anything *with their own key*; what they cannot
+do is forge other participants' signatures or find hash collisions
+(§2.3).  :func:`forge_stored_checksum` is the store-side counterpart: an
+attacker with raw write access to the provenance store itself.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "tamper_data",
     "reassign_provenance",
     "forge_attribution",
+    "forge_stored_checksum",
 ]
 
 
@@ -210,3 +213,18 @@ def forge_attribution(
     victim = find_record(shipment, object_id, seq_id)
     forged = dataclasses.replace(victim, participant_id=scapegoat_id)
     return replace_record(shipment, victim, forged)
+
+
+def forge_stored_checksum(store, object_id: str) -> ProvenanceRecord:
+    """R1 in the store: zero the checksum of ``object_id``'s tail record.
+
+    Models an attacker with raw write access to the provenance store
+    (memory, SQLite or sharded): the tail is discarded and re-appended
+    forged, going around every signature check on purpose.  Returns the
+    forged record.
+    """
+    tail = store.latest(object_id)
+    forged = dataclasses.replace(tail, checksum=b"\x00" * max(1, len(tail.checksum)))
+    store.discard(object_id, tail.seq_id)
+    store.append(forged)
+    return forged

@@ -2,38 +2,13 @@
 
 - :mod:`repro.bench.timer` — mean ± 95% confidence interval over repeated
   runs (§5.1 reports "the average across 100 runs, including 95%
-  confidence intervals").
+  confidence intervals"), and the best-of the guards compare.
 - :mod:`repro.bench.reporting` — paper-style ASCII tables and series.
 - :mod:`repro.bench.experiments` — one runnable experiment per figure
   (Fig 6–11), the Table 1(b) node counts, the §5.2 streaming scale test,
-  and the §3.2 chaining ablation.
+  the ablations, and the guarded benchmarks with their bounds.
+- :mod:`repro.bench.history` — the bench trajectory and regression gate.
 
-``benchmarks/run_all.py`` executes every experiment and prints the rows
-EXPERIMENTS.md records; ``benchmarks/bench_*.py`` wrap the same code in
-pytest-benchmark targets.
+Nothing is re-exported, so importing one submodule (say, the table
+formatter) does not load every experiment and scipy with it.
 """
-
-from repro.bench.experiments import (
-    ExperimentResult,
-    run_fig6,
-    run_fig7,
-    run_fig8_fig9,
-    run_fig10_fig11,
-    run_streaming,
-    run_table1b,
-)
-from repro.bench.reporting import format_table
-from repro.bench.timer import TimingResult, measure
-
-__all__ = [
-    "TimingResult",
-    "measure",
-    "format_table",
-    "ExperimentResult",
-    "run_table1b",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8_fig9",
-    "run_fig10_fig11",
-    "run_streaming",
-]

@@ -23,14 +23,19 @@ Shapes expected to match the paper (EXPERIMENTS.md records the outcomes):
 from __future__ import annotations
 
 import copy
+import itertools
+import json
+import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.engine import DatabaseEngine
 from repro.bench.charts import bar_chart
+from repro.bench.history import signed_append, with_meta
 from repro.bench.reporting import banner, format_table
 from repro.bench.timer import TimingResult, measure
 from repro.core.merkle import (
@@ -59,6 +64,7 @@ from repro.workloads.operations import (
     apply_update_sweep,
     setup_a_points,
 )
+from repro.workloads.signed import signed_world
 from repro.workloads.synthetic import (
     PAPER_COMBINATIONS,
     TableSpec,
@@ -71,6 +77,7 @@ from repro.workloads.synthetic import (
 
 __all__ = [
     "ExperimentResult",
+    "bench_main",
     "bench_participant",
     "run_table1b",
     "run_fig6",
@@ -97,6 +104,19 @@ PAPER_TABLE1B_COUNTS = {
     (1, 2, 3, 4): 118006,
 }
 
+# Guard bounds: a guarded benchmark fails when a figure crosses one.  They
+# are constants, not options, so no run can loosen them.  FLOORs are
+# minimum speedups, LIMITs maximum overheads or cost ratios.
+SIGNING_SPEEDUP_FLOOR = 5.0  # merkle-batch vs per-record RSA signed append
+ADAPTIVE_VERIFY_FLOOR = 0.90  # adaptive vs serial verify (1.0 less timer noise; >1 cpu)
+DISABLED_OVERHEAD_LIMIT = 0.02  # observability off vs an uninstrumented build
+SERVICE_PLANE_OVERHEAD_LIMIT = 0.02  # observability plane, per service request
+WARM_TICK_SPEEDUP_FLOOR = 5.0  # idle monitor tick vs a full re-verify
+EVENTS_OVERHEAD_LIMIT = 0.02  # event emission on the batched append path
+HANDOFF_COST_LIMIT = 5.0  # custody hand-off append vs an update
+HANDOFF_VERIFY_LIMIT = 3.0  # per-record verify, hand-off world vs solo
+IDLE_TICK_FLOOR = 10.0  # idle witness tick vs an anchoring one
+
 
 @dataclass
 class ExperimentResult:
@@ -111,6 +131,8 @@ class ExperimentResult:
     #: Machine-readable companion to ``rows`` (dumped to BENCH_*.json so
     #: future PRs have a throughput trajectory to compare against).
     metrics: Dict[str, object] = field(default_factory=dict)
+    #: False once any :meth:`guard` has failed.
+    guards_ok: bool = field(default=True, init=False)
 
     def add(self, *row: object) -> None:
         """Append one row."""
@@ -119,6 +141,12 @@ class ExperimentResult:
     def note(self, text: str) -> None:
         """Append a free-form note shown under the table."""
         self.notes.append(text)
+
+    def guard(self, ok: bool, text: str) -> bool:
+        """Record a guard verdict as a ``GUARD OK|FAILED: text`` note."""
+        self.guards_ok = self.guards_ok and ok
+        self.note(f"GUARD {'OK' if ok else 'FAILED'}: {text}")
+        return ok
 
     def add_chart(
         self, title: str, labels: Sequence[str], values: Sequence[float], unit: str = ""
@@ -138,6 +166,51 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
+def bench_main(
+    argv: Optional[Sequence[str]],
+    parser,
+    *,
+    run: Callable[..., List[ExperimentResult]],
+    quick: Dict[str, object],
+    json_default: str,
+    name: str,
+    guard_flag: bool = False,
+) -> int:
+    """The command line of every guarded ``benchmarks/bench_*.py`` script.
+
+    Adds ``--json``, ``--quick`` (which applies the ``quick`` overrides)
+    and, with ``guard_flag``, ``--guard`` to the script's ``parser``,
+    then prints ``run(args)``'s results and writes the first one's
+    metrics, with :func:`~repro.bench.history.with_meta`, to ``--json``.
+    Exits 1 iff a guard failed (with ``guard_flag``, only under
+    ``--guard``).
+    """
+    parser.add_argument("--json", default=None,
+                        help=f"where to write the metrics (default "
+                             f"{json_default}, or skipped under --quick; "
+                             "'-' to skip)")
+    parser.add_argument("--quick", action="store_true",
+                        help="tiny everything, for smoke-testing")
+    if guard_flag:
+        parser.add_argument("--guard", action="store_true",
+                            help="exit non-zero when a guard fails")
+    args = parser.parse_args(argv)
+    if args.quick:
+        vars(args).update(quick)
+    if args.json is None:
+        args.json = "-" if args.quick else json_default
+    results = run(args)
+    print("\n\n".join(result.render() for result in results))
+    if args.json != "-":
+        with open(args.json, "w") as fh:
+            json.dump(with_meta(results[0].metrics), fh, indent=2)
+        print(f"\nmetrics written to {args.json}")
+    if all(result.guards_ok for result in results) or (guard_flag and not args.guard):
+        return 0
+    print(f"error: {name} guard FAILED", file=sys.stderr)
+    return 1
+
+
 def bench_participant(
     participant_id: str = "bench",
     scheme: str = "rsa",
@@ -151,17 +224,12 @@ def bench_participant(
     ``"merkle-batch"`` signs one Merkle root per flush; ``"hmac"`` and
     ``"null"`` isolate signing cost from hashing cost in ablations.
     """
-    if scheme in ("rsa", "rsa-per-record"):
+    if scheme in ("rsa", "rsa-per-record", "merkle-batch"):
         keypair = generate_keypair(key_bits, rng=random.Random(seed))
-        return Participant(
-            participant_id, RSASignatureScheme(keypair.private, hash_algorithm)
+        signer = (
+            MerkleBatchSignatureScheme if scheme == "merkle-batch" else RSASignatureScheme
         )
-    if scheme == "merkle-batch":
-        keypair = generate_keypair(key_bits, rng=random.Random(seed))
-        return Participant(
-            participant_id,
-            MerkleBatchSignatureScheme(keypair.private, hash_algorithm),
-        )
+        return Participant(participant_id, signer(keypair.private, hash_algorithm))
     if scheme == "hmac":
         return Participant(
             participant_id, HMACSignatureScheme(b"bench-key", hash_algorithm)
@@ -248,15 +316,6 @@ def run_fig6(scale: float = 0.25, runs: int = 3, algorithm: str = "sha1") -> Exp
 # ---------------------------------------------------------------------------
 
 
-def _forest_with_listener(specs: Sequence[TableSpec], seed: int = 0):
-    forest = build_forest(specs, seed=seed)
-    engine = DatabaseEngine(forest)
-    captured: List = []
-    engine.add_listener(captured.append)
-    view = RelationalView(engine)
-    return forest, engine, view, captured
-
-
 def run_fig7(
     scale: float = 0.25,
     runs: int = 3,
@@ -287,9 +346,14 @@ def run_fig7(
         hashed_counts: List[int] = []
         means: List[float] = []
         for strategy_name in ("basic", "economical"):
+            last: List = []  # every set-up, so the last run's counts can be read
 
             def set_up():
-                forest, _, view, captured = _forest_with_listener(specs)
+                forest = build_forest(specs)
+                engine = DatabaseEngine(forest)
+                captured: List = []
+                engine.add_listener(captured.append)
+                view = RelationalView(engine)
                 strategy = (
                     BasicHashing(algorithm)
                     if strategy_name == "basic"
@@ -299,21 +363,14 @@ def run_fig7(
                 ctx.ensure_tree("db")  # input-tree hash / cache priming
                 apply_update_sweep(view, "t1", n_updates, n_rows)
                 events = captured[-1].events
-                before = strategy.nodes_hashed
-                return strategy, ctx, events, before
+                last.append((strategy, ctx, events, strategy.nodes_hashed))
+                return last[-1]
 
             def commit(arg):
                 _, ctx, events, _ = arg
                 ctx.commit(events)
 
-            last: List = []
-
-            def set_up_tracking():
-                arg = set_up()
-                last.append(arg)
-                return arg
-
-            timing = measure(commit, runs=runs, setup=set_up_tracking)
+            timing = measure(commit, runs=runs, setup=set_up)
             strategy, _, _, before = last[-1]
             hashed_counts.append(strategy.nodes_hashed - before)
             means.append(timing.mean)
@@ -384,20 +441,18 @@ def _run_complex_op_experiment(
     chart_times: List[float] = []
     chart_space: List[float] = []
     for label, workload in workloads:
-        samples: List[float] = []
-        records_delta = 0
-        space_delta = 0
-        for _ in range(runs):
+        worlds: List = []
+
+        def fresh_view() -> RelationalView:
             db, actor, view = copy.deepcopy(baseline)
-            session_view = RelationalView(db.session(actor), root_id=view.root_id)
-            records_before = len(db.provenance_store)
-            space_before = db.provenance_store.space_bytes()
-            start = time.perf_counter()
-            workload(session_view, "t1")
-            samples.append(time.perf_counter() - start)
-            records_delta = len(db.provenance_store) - records_before
-            space_delta = db.provenance_store.space_bytes() - space_before
-        timing = TimingResult(samples=tuple(samples))
+            store = db.provenance_store
+            worlds.append((store, len(store), store.space_bytes()))
+            return RelationalView(db.session(actor), root_id=view.root_id)
+
+        timing = measure(lambda view: workload(view, "t1"), runs=runs, setup=fresh_view)
+        store, records_before, space_before = worlds[-1]
+        records_delta = len(store) - records_before
+        space_delta = store.space_bytes() - space_before
         rate = records_delta / timing.mean if timing.mean else float("inf")
         time_result.add(label, timing.format("ms"), records_delta, f"{rate:.0f}")
         space_result.add(
@@ -794,17 +849,20 @@ def _seed_style_append(path: str, records: Sequence) -> None:
         conn.close()
 
 
-def _verify_world(n_objects: int, updates_per_object: int, key_bits: int):
-    """A multi-object world whose chains exercise the verifier."""
-    rng = random.Random(42)
-    db = TamperEvidentDatabase(key_bits=key_bits, rng=rng)
-    participant = db.enroll("bench")
-    session = db.session(participant)
-    for i in range(n_objects):
-        session.insert(f"obj{i}", i)
-        for update in range(updates_per_object):
-            session.update(f"obj{i}", i * 1000 + update)
-    return db
+def _batched_append(
+    records: Sequence, batch_size: int, path: Optional[str] = None
+) -> None:
+    """The batched write path: ``records`` into a fresh SQLite provenance
+    store at ``path`` (a temporary file by default), ``batch_size`` per
+    :meth:`append_many` call."""
+    from repro.provenance.store import SQLiteProvenanceStore
+
+    if path is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return _batched_append(records, batch_size, os.path.join(tmp, "prov.db"))
+    with SQLiteProvenanceStore(path) as store:
+        for i in range(0, len(records), batch_size):
+            store.append_many(records[i : i + batch_size])
 
 
 def run_batch_throughput(
@@ -836,11 +894,10 @@ def run_batch_throughput(
     where the time goes (leaf hashing, audit-path construction, one RSA
     root sign, ``flush_size`` RSA per-record signs).  Timings are
     best-of-``runs``; :attr:`ExperimentResult.metrics` carries the raw
-    numbers for ``BENCH_throughput.json``.
+    numbers for ``BENCH_throughput.json``.  Guards:
+    :data:`SIGNING_SPEEDUP_FLOOR` and :data:`ADAPTIVE_VERIFY_FLOOR`, with
+    the adaptive report byte-identical to the serial one.
     """
-    import os
-    import tempfile
-
     from repro.core.verifier import ParallelVerifier, Verifier
     from repro.provenance.store import SQLiteProvenanceStore
 
@@ -853,29 +910,22 @@ def run_batch_throughput(
 
     records = _fig8_style_records(n_records)
 
-    def best_of(fn: Callable[[str], None]) -> float:
-        samples = []
-        for run_no in range(runs):
-            with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, f"prov-{run_no}.db")
-                start = time.perf_counter()
-                fn(path)
-                samples.append(time.perf_counter() - start)
-        return min(samples)
-
     def per_record_current(path: str) -> None:
         with SQLiteProvenanceStore(path) as store:
             for record in records:
                 store.append(record)
 
-    def batched(path: str) -> None:
-        with SQLiteProvenanceStore(path) as store:
-            for i in range(0, len(records), batch_size):
-                store.append_many(records[i : i + batch_size])
-
-    seed_s = best_of(lambda path: _seed_style_append(path, records))
-    current_s = best_of(per_record_current)
-    batched_s = best_of(batched)
+    with tempfile.TemporaryDirectory() as tmp:
+        # Every run appends into a fresh database file.
+        paths = (os.path.join(tmp, f"prov-{i}.db") for i in itertools.count())
+        seed_s, current_s, batched_s = (
+            measure(fn, runs=runs, setup=paths.__next__).best
+            for fn in (
+                lambda path: _seed_style_append(path, records),
+                per_record_current,
+                lambda path: _batched_append(records, batch_size, path),
+            )
+        )
 
     def rps(elapsed: float) -> float:
         return n_records / elapsed if elapsed else float("inf")
@@ -897,21 +947,16 @@ def run_batch_throughput(
     # ------------------------------------------------------------------
     # verification: serial vs per-object-chain parallel
     # ------------------------------------------------------------------
-    db = _verify_world(verify_objects, verify_updates, key_bits)
+    db, _ = signed_world(verify_objects, verify_updates, key_bits=key_bits, seed=42)
     verify_records = list(db.provenance_store.all_records())
     keystore = db.keystore()
     serial_verifier = Verifier(keystore)
     parallel_verifier = ParallelVerifier(keystore, workers=workers)
     adaptive_verifier = ParallelVerifier(keystore)  # workers=None: adaptive
 
-    serial_s = min(
-        measure(lambda: serial_verifier.verify_records(verify_records), runs=runs).samples
-    )
-    parallel_s = min(
-        measure(lambda: parallel_verifier.verify_records(verify_records), runs=runs).samples
-    )
-    adaptive_s = min(
-        measure(lambda: adaptive_verifier.verify_records(verify_records), runs=runs).samples
+    serial_s, parallel_s, adaptive_s = (
+        measure(lambda: verifier.verify_records(verify_records), runs=runs).best
+        for verifier in (serial_verifier, parallel_verifier, adaptive_verifier)
     )
     serial_report = serial_verifier.verify_records(verify_records)
     parallel_report = parallel_verifier.verify_records(verify_records)
@@ -956,35 +1001,14 @@ def run_batch_throughput(
     # ------------------------------------------------------------------
     # signing: per-record RSA vs one Merkle root per flush
     # ------------------------------------------------------------------
-    def signed_append(scheme: str) -> float:
-        """Best-of-``runs`` seconds for the end-to-end signed workload.
-
-        Each batch is one complex operation over ``flush_size`` flat
-        objects, so every flush stages exactly ``flush_size`` records —
-        per-record RSA signs each of them; Merkle-batch signs one root.
-        """
-        sdb = TamperEvidentDatabase(
-            key_bits=signing_key_bits,
-            rng=random.Random(99),
-            signature_scheme=scheme,
-        )
-        session = sdb.session(sdb.enroll("signer"))
-        with session.complex_operation():  # create objects untimed
-            for j in range(flush_size):
-                session.insert(f"s{j}", j)
-        best = float("inf")
-        for run_no in range(runs):
-            start = time.perf_counter()
-            for b in range(signing_batches):
-                with session.complex_operation():
-                    for j in range(flush_size):
-                        session.update(f"s{j}", run_no * 10_000 + b)
-            best = min(best, time.perf_counter() - start)
-        return best
-
     signing_records = signing_batches * flush_size
-    rsa_sign_s = signed_append("rsa-pkcs1v15")
-    merkle_sign_s = signed_append("merkle-batch")
+    rsa_sign_s, merkle_sign_s = (
+        signed_append(
+            scheme, key_bits=signing_key_bits, seed=99,
+            batches=signing_batches, flush_size=flush_size, runs=runs,
+        ).best
+        for scheme in ("rsa-pkcs1v15", "merkle-batch")
+    )
     signing_speedup = rsa_sign_s / merkle_sign_s if merkle_sign_s else float("inf")
     result.add(
         "signed append: rsa per-record",
@@ -1008,19 +1032,14 @@ def run_batch_throughput(
     flush_payloads = [f"payload-{i}".encode() * 8 for i in range(flush_size)]
     flush_leaves = [batch_leaf(p) for p in flush_payloads]
     decomp_runs = max(3, runs)
-    hash_s = min(
-        measure(lambda: [batch_leaf(p) for p in flush_payloads], runs=decomp_runs).samples
-    )
-    proofs_s = min(
-        measure(lambda: batch_audit_paths(flush_leaves), runs=decomp_runs).samples
-    )
-    root_sign_s = min(
-        measure(lambda: rsa_scheme.sign(flush_leaves[0]), runs=decomp_runs).samples
-    )
-    per_record_sign_s = min(
-        measure(
-            lambda: [rsa_scheme.sign(p) for p in flush_payloads], runs=decomp_runs
-        ).samples
+    hash_s, proofs_s, root_sign_s, per_record_sign_s = (
+        measure(fn, runs=decomp_runs).best
+        for fn in (
+            lambda: [batch_leaf(p) for p in flush_payloads],
+            lambda: batch_audit_paths(flush_leaves),
+            lambda: rsa_scheme.sign(flush_leaves[0]),
+            lambda: [rsa_scheme.sign(p) for p in flush_payloads],
+        )
     )
     for label, seconds in (
         ("per flush: leaf hashing", hash_s),
@@ -1029,12 +1048,19 @@ def run_batch_throughput(
         (f"per flush: rsa per-record sign (x{flush_size})", per_record_sign_s),
     ):
         result.add(label, f"{seconds * 1e3:.3f} ms", "-", "-")
-    signing_guard_floor = 5.0
-    signing_ok = signing_speedup >= signing_guard_floor
-    result.note(
-        f"GUARD {'OK' if signing_ok else 'FAILED'}: merkle-batch signed "
-        f"append {signing_speedup:.1f}x vs per-record RSA "
-        f"(floor {signing_guard_floor:.0f}x, {signing_key_bits}-bit keys)"
+    signing_ok = result.guard(
+        signing_speedup >= SIGNING_SPEEDUP_FLOOR,
+        f"merkle-batch signed append {signing_speedup:.1f}x vs per-record "
+        f"RSA (floor {SIGNING_SPEEDUP_FLOOR:.0f}x, {signing_key_bits}-bit keys)",
+    )
+    adaptive_speedup = serial_s / adaptive_s
+    result.guard(
+        adaptive_identical
+        and (cpu_count == 1 or adaptive_speedup >= ADAPTIVE_VERIFY_FLOOR),
+        f"adaptive verify {adaptive_speedup:.2f}x serial (floor "
+        f"{ADAPTIVE_VERIFY_FLOOR:.2f}x"
+        + (", not enforced on 1 cpu" if cpu_count == 1 else "")
+        + f"), report identical: {adaptive_identical}",
     )
 
     result.metrics = {
@@ -1064,7 +1090,7 @@ def run_batch_throughput(
             "speedup": serial_s / parallel_s,
             "reports_identical": identical,
             "adaptive_s": adaptive_s,
-            "adaptive_speedup": serial_s / adaptive_s,
+            "adaptive_speedup": adaptive_speedup,
             "adaptive_chose_parallel": adaptive_parallel,
             "adaptive_reports_identical": adaptive_identical,
         },
@@ -1087,7 +1113,7 @@ def run_batch_throughput(
                 "rsa_root_sign_s": root_sign_s,
                 "rsa_per_record_sign_s": per_record_sign_s,
             },
-            "guard": {"floor": signing_guard_floor, "ok": signing_ok},
+            "guard": {"floor": SIGNING_SPEEDUP_FLOOR, "ok": signing_ok},
         },
     }
     return result
@@ -1127,7 +1153,7 @@ def _disabled_costs(iterations: int = 100_000, repeats: int = 5) -> Dict[str, fl
 
     def per_loop(body: str) -> float:
         runs = timeit.repeat(body, number=iterations, repeat=repeats, globals=scope)
-        return min(runs) / iterations
+        return TimingResult(samples=tuple(runs)).best / iterations
 
     empty = per_loop("pass")
     block = "with obs.phase('verify.chain', object_id='x', records=1): pass"
@@ -1172,7 +1198,6 @@ def run_obs_overhead(
     verify_objects: int = 200,
     verify_updates: int = 3,
     key_bits: int = 512,
-    max_disabled_overhead: float = 0.02,
 ) -> ExperimentResult:
     """Overhead of the observability layer, disabled and enabled.
 
@@ -1194,15 +1219,11 @@ def run_obs_overhead(
 
     A third arm runs each workload with the phase profiler attached
     (metrics off) and reports its time and phase calls.  The guard
-    fails the benchmark when the bound exceeds ``max_disabled_overhead``
-    (default 2%) on either workload.
+    fails the benchmark when the bound exceeds
+    :data:`DISABLED_OVERHEAD_LIMIT` (2%) on either workload.
     """
-    import os
-    import tempfile
-
     from repro import obs
     from repro.core.verifier import Verifier
-    from repro.provenance.store import SQLiteProvenanceStore
 
     result = ExperimentResult(
         "obs-overhead",
@@ -1212,14 +1233,7 @@ def run_obs_overhead(
     )
 
     records = _fig8_style_records(n_records)
-
-    def append_workload() -> None:
-        with tempfile.TemporaryDirectory() as tmp:
-            with SQLiteProvenanceStore(os.path.join(tmp, "prov.db")) as store:
-                for i in range(0, len(records), 1_000):
-                    store.append_many(records[i : i + 1_000])
-
-    db = _verify_world(verify_objects, verify_updates, key_bits)
+    db, _ = signed_world(verify_objects, verify_updates, key_bits=key_bits, seed=42)
     verify_records = list(db.provenance_store.all_records())
     verifier = Verifier(db.keystore())
 
@@ -1231,12 +1245,15 @@ def run_obs_overhead(
     entry_s = costs
 
     arms = {}
-    for name, workload in (("append", append_workload), ("verify", verify_workload)):
+    for name, workload in (
+        ("append", lambda: _batched_append(records, 1_000)),
+        ("verify", verify_workload),
+    ):
         obs.disable(reset=True)
-        off_s = min(measure(workload, runs=runs).samples)
+        off_s = measure(workload, runs=runs).best
 
         obs.enable(metrics=True, tracing=False, reset=True)
-        on_s = min(measure(workload, runs=runs).samples)
+        on_s = measure(workload, runs=runs).best
         # Accessor invocations for ONE run (the counter accumulated
         # over `runs` timed repetitions).
         calls = obs.OBS.registry.calls / max(1, runs)
@@ -1244,7 +1261,7 @@ def run_obs_overhead(
 
         # Profiler arm: metrics off, phase profiler on.
         prof = obs.enable_profile(reset=True)
-        prof_on_s = min(measure(workload, runs=runs).samples)
+        prof_on_s = measure(workload, runs=runs).best
         profile_calls = prof.total_calls() / max(1, runs)
         obs.disable_profile()
 
@@ -1276,7 +1293,6 @@ def run_obs_overhead(
         )
 
     worst_bound = max(arm["disabled_overhead_bound"] for arm in arms.values())
-    guard_ok = worst_bound <= max_disabled_overhead
     result.note(
         f"one disabled metrics check costs ~{check_s * 1e9:.1f} ns and one "
         f"disabled phase entry ~{entry_s['decorator'] * 1e9:.0f} ns "
@@ -1285,9 +1301,10 @@ def run_obs_overhead(
         "(a strict overestimate) and every phase entry the disabled run "
         "makes at its spelling's cost"
     )
-    result.note(
-        f"GUARD {'OK' if guard_ok else 'FAILED'}: worst disabled-mode bound "
-        f"{worst_bound * 100:.4f}% vs limit {max_disabled_overhead * 100:.1f}%"
+    guard_ok = result.guard(
+        worst_bound <= DISABLED_OVERHEAD_LIMIT,
+        f"worst disabled-mode bound {worst_bound * 100:.4f}% vs limit "
+        f"{DISABLED_OVERHEAD_LIMIT * 100:.1f}%",
     )
 
     result.metrics = {
@@ -1304,7 +1321,7 @@ def run_obs_overhead(
         },
         "arms": arms,
         "guard": {
-            "max_disabled_overhead": max_disabled_overhead,
+            "max_disabled_overhead": DISABLED_OVERHEAD_LIMIT,
             "worst_disabled_bound": worst_bound,
             "ok": guard_ok,
         },
@@ -1317,7 +1334,6 @@ def run_service_obs_overhead(
     runs: int = 3,
     key_bits: int = 512,
     monitor_interval: float = 1.0,
-    max_overhead: float = 0.02,
 ) -> ExperimentResult:
     """Observability overhead on the *service* request hot path.
 
@@ -1344,7 +1360,7 @@ def run_service_obs_overhead(
       ``monitor_interval``, i.e. the fraction of one core the daemon
       steals from request handling.
 
-    Their sum is guarded at ``max_overhead`` (default 2%).
+    Their sum is guarded at :data:`SERVICE_PLANE_OVERHEAD_LIMIT` (2%).
     """
     from repro import obs
     from repro.obs.plane import (
@@ -1393,9 +1409,7 @@ def run_service_obs_overhead(
                 server.base_url, token=admin.issue_key("bench")["token"]
             )
             client.insert(f"{tag}-obj", 0)
-            return min(
-                measure(request_workload(client, tag), runs=runs).samples
-            )
+            return measure(request_workload(client, tag), runs=runs).best
         finally:
             server.stop()
             if enabled:
@@ -1430,14 +1444,12 @@ def run_service_obs_overhead(
             service.record("idle", "insert", f"obj-{i}", value=i)
         monitor = BackgroundMonitor(service, interval=monitor_interval)
         monitor.run_once()  # cold: verify everything, set watermarks
-        idle_s = min(measure(monitor.run_once, runs=max(3, runs)).samples)
+        idle_s = measure(monitor.run_once, runs=max(3, runs)).best
     finally:
         service.close()
     monitor_fraction = idle_s / monitor_interval if monitor_interval else 0.0
 
     guarded_bound = header_bound + monitor_fraction
-    guard_ok = guarded_bound <= max_overhead
-
     result.add(
         "requests",
         f"{off_s:.3f} s",
@@ -1450,9 +1462,10 @@ def run_service_obs_overhead(
         f"{per_request_s * 1e3:.3f} ms baseline request; idle monitor tick "
         f"{idle_s * 1e3:.3f} ms amortized over {monitor_interval:g} s"
     )
-    result.note(
-        f"GUARD {'OK' if guard_ok else 'FAILED'}: header + idle-monitor "
-        f"bound {guarded_bound * 100:.4f}% vs limit {max_overhead * 100:.1f}%"
+    guard_ok = result.guard(
+        guarded_bound <= SERVICE_PLANE_OVERHEAD_LIMIT,
+        f"header + idle-monitor bound {guarded_bound * 100:.4f}% vs limit "
+        f"{SERVICE_PLANE_OVERHEAD_LIMIT * 100:.1f}%",
     )
 
     result.metrics = {
@@ -1471,7 +1484,7 @@ def run_service_obs_overhead(
         "idle_tick_s": idle_s,
         "monitor_fraction": monitor_fraction,
         "guard": {
-            "max_overhead": max_overhead,
+            "max_overhead": SERVICE_PLANE_OVERHEAD_LIMIT,
             "bound": guarded_bound,
             "ok": guard_ok,
         },
@@ -1485,8 +1498,6 @@ def run_monitor_bench(
     key_bits: int = 512,
     runs: int = 3,
     delta_records: int = 20,
-    warm_speedup_floor: float = 5.0,
-    max_events_overhead: float = 0.02,
 ) -> ExperimentResult:
     """Watermark-based incremental verification vs full re-verify.
 
@@ -1494,24 +1505,20 @@ def run_monitor_bench(
     against a *warm* monitor tick (watermarks cover everything, nothing
     new to verify — the steady state of a quiet system) and an
     *incremental* tick after ``delta_records`` fresh appends.  The warm
-    tick is guarded at ``warm_speedup_floor``x faster than the full
-    pass: if the idle fast path ever regresses to re-walking chains, CI
-    fails here before users notice their monitor burning CPU.
+    tick is guarded at :data:`WARM_TICK_SPEEDUP_FLOOR` x faster than the
+    full pass: if the idle fast path ever regresses to re-walking chains,
+    CI fails here before users notice their monitor burning CPU.
 
     Arm 2 bounds the cost of event emission on the hottest write path
     (batched SQLite appends) with the file sink disabled: per-emit cost
     is measured directly on a ring-sink log, multiplied by the events
     the workload fires, and divided by the no-events wall time.  The
-    bound is guarded at ``max_events_overhead`` (default 2%).
+    bound is guarded at :data:`EVENTS_OVERHEAD_LIMIT` (2%).
     """
-    import os
-    import tempfile
-
     from repro import obs
     from repro.core.verifier import Verifier
     from repro.monitor import ProvenanceMonitor
     from repro.obs.events import EventLog, RingBufferSink
-    from repro.provenance.store import SQLiteProvenanceStore
 
     n_records = n_objects * (1 + updates_per_object)
     result = ExperimentResult(
@@ -1521,7 +1528,7 @@ def run_monitor_bench(
         ("mode", "time", "records checked", "speedup vs full"),
     )
 
-    db = _verify_world(n_objects, updates_per_object, key_bits)
+    db, _ = signed_world(n_objects, updates_per_object, key_bits=key_bits, seed=42)
     store = db.provenance_store
     # Enroll before snapshotting the keystore: records signed by a
     # later-enrolled participant would (correctly) fail verification.
@@ -1530,29 +1537,30 @@ def run_monitor_bench(
     all_records = list(store.all_records())
     verifier = Verifier(keystore)
 
-    full_s = min(measure(lambda: verifier.verify_records(all_records), runs=runs).samples)
+    full_s = measure(lambda: verifier.verify_records(all_records), runs=runs).best
 
     monitor = ProvenanceMonitor(store, keystore)
     monitor.tick()  # cold: advances every watermark
-    warm_s = min(measure(monitor.tick, runs=runs).samples)
+    warm_s = measure(monitor.tick, runs=runs).best
     warm_speedup = full_s / warm_s if warm_s else float("inf")
 
-    # Incremental: delta_records fresh appends between timed ticks.
-    incr_samples = []
-    for run in range(runs):
+    # Incremental: delta_records fresh appends (untimed) before each tick.
+    deltas = itertools.count()
+
+    def append_delta() -> None:
+        run = next(deltas)
         for i in range(delta_records):
             session.update(f"obj{i % n_objects}", f"delta-{run}-{i}")
-        timed = measure(monitor.tick, runs=1)
-        incr_samples.append(timed.samples[0])
-        if monitor.health != "ok":
-            # Not an assert: under ``python -O`` an assert vanishes and a
-            # regressing monitor would still publish passing numbers.
-            raise RuntimeError(
-                f"monitor health is {monitor.health!r} during the "
-                f"incremental arm (run {run}); failures: "
-                f"{[str(f) for f in monitor.accumulated_failures()]}"
-            )
-    incr_s = min(incr_samples)
+
+    incr_s = measure(lambda _: monitor.tick(), runs=runs, setup=append_delta).best
+    if monitor.health != "ok":
+        # Not an assert: under ``python -O`` an assert vanishes and a
+        # regressing monitor would still publish passing numbers.
+        raise RuntimeError(
+            f"monitor health is {monitor.health!r} after the incremental "
+            f"arm; failures: "
+            f"{[str(f) for f in monitor.accumulated_failures()]}"
+        )
     incr_speedup = full_s / incr_s if incr_s else float("inf")
 
     result.add("full re-verify", f"{full_s:.4f} s", len(all_records), "1.0x")
@@ -1564,18 +1572,14 @@ def run_monitor_bench(
 
     # --- events-emission overhead on the batched append path ----------
     records = _fig8_style_records(min(n_records, 10_000))
-    batch_size = 50
 
     def append_workload() -> None:
-        with tempfile.TemporaryDirectory() as tmp:
-            with SQLiteProvenanceStore(os.path.join(tmp, "prov.db")) as inner:
-                for i in range(0, len(records), batch_size):
-                    inner.append_many(records[i : i + batch_size])
+        _batched_append(records, 50)
 
     obs.enable(metrics=True, tracing=False, reset=True)
-    base_s = min(measure(append_workload, runs=runs).samples)
+    base_s = measure(append_workload, runs=runs).best
     obs.enable_events()  # ring sink only; no file sink
-    events_s = min(measure(append_workload, runs=runs).samples)
+    events_s = measure(append_workload, runs=runs).best
     events_fired = obs.OBS.events._seq / max(1, runs)
     obs.disable_events()
     obs.disable(reset=True)
@@ -1599,20 +1603,19 @@ def run_monitor_bench(
         f"{delta * 100:+.1f}% measured",
     )
 
-    warm_ok = warm_speedup >= warm_speedup_floor
-    events_ok = bound <= max_events_overhead
     result.note(
         f"one emit costs ~{emit_s * 1e6:.2f} us; the workload fires "
         f"~{events_fired:.0f} events, bounding overhead at {bound * 100:.3f}%"
     )
-    result.note(
-        f"GUARD {'OK' if warm_ok else 'FAILED'}: warm tick "
-        f"{warm_speedup:.1f}x faster than full re-verify "
-        f"(floor {warm_speedup_floor:.0f}x)"
+    warm_ok = result.guard(
+        warm_speedup >= WARM_TICK_SPEEDUP_FLOOR,
+        f"warm tick {warm_speedup:.1f}x faster than full re-verify "
+        f"(floor {WARM_TICK_SPEEDUP_FLOOR:.0f}x)",
     )
-    result.note(
-        f"GUARD {'OK' if events_ok else 'FAILED'}: events overhead bound "
-        f"{bound * 100:.3f}% vs limit {max_events_overhead * 100:.1f}%"
+    events_ok = result.guard(
+        bound <= EVENTS_OVERHEAD_LIMIT,
+        f"events overhead bound {bound * 100:.3f}% vs limit "
+        f"{EVENTS_OVERHEAD_LIMIT * 100:.1f}%",
     )
 
     result.metrics = {
@@ -1638,9 +1641,9 @@ def run_monitor_bench(
             "overhead_bound": bound,
         },
         "guard": {
-            "warm_speedup_floor": warm_speedup_floor,
+            "warm_speedup_floor": WARM_TICK_SPEEDUP_FLOOR,
             "warm_ok": warm_ok,
-            "max_events_overhead": max_events_overhead,
+            "max_events_overhead": EVENTS_OVERHEAD_LIMIT,
             "events_ok": events_ok,
             "ok": warm_ok and events_ok,
         },
@@ -1676,6 +1679,7 @@ def run_service_bench(
     All three are guarded; the reported throughput and latency
     percentiles feed the bench history for trajectory tracking.
     """
+    from repro.attacks.tampering import forge_stored_checksum
     from repro.service import ServiceClient
     from repro.service.core import AUDIT_OBJECT, ServiceConfig
     from repro.service.http import ProvenanceHTTPServer
@@ -1722,14 +1726,8 @@ def run_service_bench(
         # down; the forgery is not undone.)
         probe = ServiceClient(server.base_url)
         clean_status = probe.healthz().status
-        victim_world = server.service.world(spec.tenant_of(0))
-        victim_id = spec.object_of(0)
-        victim = victim_world.store.latest(victim_id)
-        shard = victim_world.store._shard_for(victim_id)
-        import dataclasses as _dc
-
-        shard._chains[victim_id][-1] = _dc.replace(
-            victim, checksum=b"\x00" * len(victim.checksum)
+        forge_stored_checksum(
+            server.service.world(spec.tenant_of(0)).store, spec.object_of(0)
         )
         tampered_status = probe.healthz().status
     finally:
@@ -1737,12 +1735,6 @@ def run_service_bench(
 
     load = report.to_dict()
     healthz_ok = clean_status == 200 and tampered_status == 503
-    ok = (
-        not report.errors
-        and not report.verify_failures
-        and leaks == 0
-        and healthz_ok
-    )
 
     result.add("requests", load["requests"])
     result.add("wall time", f"{load['wall_seconds']:.2f} s")
@@ -1755,9 +1747,11 @@ def run_service_bench(
     result.add("verification failures", load["verify_failures"])
     result.add("cross-tenant leaks", leaks)
     result.add("healthz clean/tampered", f"{clean_status} / {tampered_status}")
-    result.note(
-        f"GUARD {'OK' if ok else 'FAILED'}: zero errors, zero verification "
-        "failures, zero cross-tenant leaks, healthz 200->503 contract"
+    ok = result.guard(
+        not report.errors and not report.verify_failures and leaks == 0
+        and healthz_ok,
+        "zero errors, zero verification failures, zero cross-tenant leaks, "
+        "healthz 200->503 contract",
     )
 
     result.metrics = {
@@ -1787,34 +1781,6 @@ def run_service_bench(
     return result
 
 
-def _handoff_world(
-    n_objects: int,
-    updates_per_object: int,
-    handoffs_per_object: int,
-    key_bits: int,
-):
-    """Like :func:`_verify_world`, but custody rotates between three
-    custodians: each object's chain carries ``handoffs_per_object``
-    dual-signed ``TRANSFER`` records after its updates."""
-    from repro.trust.custody import transfer_custody
-
-    rng = random.Random(42)
-    db = TamperEvidentDatabase(key_bits=key_bits, rng=rng)
-    custodians = [db.enroll(f"custodian-{i}") for i in range(3)]
-    sessions = [db.session(p) for p in custodians]
-    store = db.provenance_store
-    for i in range(n_objects):
-        sessions[0].insert(f"obj{i}", i)
-        for update in range(updates_per_object):
-            sessions[0].update(f"obj{i}", i * 1000 + update)
-        for hop in range(handoffs_per_object):
-            transfer_custody(
-                store, f"obj{i}",
-                custodians[hop % 3], custodians[(hop + 1) % 3],
-            )
-    return db, custodians
-
-
 def run_trust_bench(
     n_objects: int = 200,
     updates_per_object: int = 3,
@@ -1822,27 +1788,27 @@ def run_trust_bench(
     append_batch: int = 50,
     key_bits: int = 512,
     runs: int = 3,
-    max_handoff_cost: float = 5.0,
-    max_verify_overhead: float = 3.0,
-    idle_tick_floor: float = 10.0,
 ) -> ExperimentResult:
     """Hand-off and witness-tick overhead vs the solo baseline.
 
-    Three guarded arms:
+    The hand-off world is the solo world whose custody then rotates
+    between three custodians: each object's chain carries
+    ``handoffs_per_object`` dual-signed ``TRANSFER`` records after its
+    updates.  Three guarded arms:
 
     1. **Append** — a dual-signed ``TRANSFER`` record costs two RSA
        signatures (record checksum + countersignature) where an update
        costs one, so the per-hand-off cost is guarded at
-       ``max_handoff_cost``x the per-update cost (default 5x — anything
+       :data:`HANDOFF_COST_LIMIT` x the per-update cost (5x — anything
        beyond that means the transfer path grew work it should not do).
     2. **Verify** — a chain with transfers adds one countersignature
        check per ``TRANSFER`` record; per-record verification of the
-       hand-off world is guarded at ``max_verify_overhead``x the solo
-       world's (default 3x).
+       hand-off world is guarded at :data:`HANDOFF_VERIFY_LIMIT` x the
+       solo world's (3x).
     3. **Witness** — a witness tick over an already-anchored store must
        stay on the skip path: the idle tick is guarded at
-       ``idle_tick_floor``x faster than the anchoring tick (default
-       10x), mirroring the monitor's warm-tick guard.
+       :data:`IDLE_TICK_FLOOR` x faster than the anchoring tick (10x),
+       mirroring the monitor's warm-tick guard.
     """
     from repro.core.verifier import Verifier
     from repro.trust.custody import transfer_custody
@@ -1855,28 +1821,41 @@ def run_trust_bench(
         ("arm", "time", "per unit", "vs baseline"),
     )
 
-    # --- arm 1: append path -------------------------------------------
-    db, custodians = _handoff_world(
-        n_objects, updates_per_object, handoffs_per_object, key_bits
-    )
-    store = db.provenance_store
-    session = db.session(custodians[0])
+    def world(custodian: str):
+        return signed_world(
+            n_objects, updates_per_object, key_bits=key_bits, seed=42,
+            participant=custodian,
+        )
 
-    update_samples, handoff_samples = [], []
-    for run in range(runs):
-        probe = f"probe-{run}"
+    db, first = world("custodian-0")
+    custodians = [first, db.enroll("custodian-1"), db.enroll("custodian-2")]
+    store = db.provenance_store
+    for i in range(n_objects):
+        for hop in range(handoffs_per_object):
+            transfer_custody(
+                store, f"obj{i}", custodians[hop % 3], custodians[(hop + 1) % 3]
+            )
+
+    # --- arm 1: append path -------------------------------------------
+    session = db.session(custodians[0])
+    probes = [f"probe-{run}" for run in range(runs)]
+    for probe in probes:
         session.insert(probe, 0)
-        start = time.perf_counter()
+
+    def updates(probe: str) -> None:
         for i in range(append_batch):
             session.update(probe, i)
-        update_samples.append((time.perf_counter() - start) / append_batch)
-        start = time.perf_counter()
+
+    def handoffs(probe: str) -> None:
         for i in range(append_batch):
             transfer_custody(
                 store, probe, custodians[i % 2], custodians[(i + 1) % 2]
             )
-        handoff_samples.append((time.perf_counter() - start) / append_batch)
-    update_s, handoff_s = min(update_samples), min(handoff_samples)
+
+    update_s, handoff_s = (
+        measure(arm, runs=runs, setup=iter(probes).__next__).best / append_batch
+        for arm in (updates, handoffs)
+    )
     handoff_cost = handoff_s / update_s if update_s else float("inf")
 
     result.add("update append", f"{update_s * 1e3:.3f} ms", "per record", "1.0x")
@@ -1886,21 +1865,19 @@ def run_trust_bench(
     )
 
     # --- arm 2: verification ------------------------------------------
-    solo_db = _verify_world(n_objects, updates_per_object, key_bits)
+    solo_db, _ = world("bench")
     solo_records = list(solo_db.provenance_store.all_records())
     solo_verifier = Verifier(solo_db.keystore())
-    solo_s = min(
-        measure(lambda: solo_verifier.verify_records(solo_records), runs=runs).samples
-    )
+    solo_s = measure(lambda: solo_verifier.verify_records(solo_records), runs=runs).best
     solo_pr = solo_s / len(solo_records)
 
     handoff_records = [
         r for r in store.all_records() if not r.object_id.startswith("probe-")
     ]
     verifier = Verifier(db.keystore())
-    handoff_s_total = min(
-        measure(lambda: verifier.verify_records(handoff_records), runs=runs).samples
-    )
+    handoff_s_total = measure(
+        lambda: verifier.verify_records(handoff_records), runs=runs
+    ).best
     handoff_pr = handoff_s_total / len(handoff_records)
     verify_overhead = handoff_pr / solo_pr if solo_pr else float("inf")
 
@@ -1914,20 +1891,19 @@ def run_trust_bench(
     )
 
     # --- arm 3: witness tick ------------------------------------------
-    anchor_samples = []
-    witness = None
-    for run in range(runs):
-        witness = Witness.generate(key_bits=key_bits, seed=run)
-        start = time.perf_counter()
-        fresh = witness.tick(store)
-        anchor_samples.append(time.perf_counter() - start)
-        if len(fresh) != len(store.object_ids()):
-            raise RuntimeError(
-                f"witness tick anchored {len(fresh)} of "
-                f"{len(store.object_ids())} objects"
-            )
-    anchor_s = min(anchor_samples)
-    idle_s = min(measure(lambda: witness.tick(store), runs=runs).samples)
+    # Each anchoring run starts a fresh witness over the same store.
+    witnesses = [Witness.generate(key_bits=key_bits, seed=run) for run in range(runs)]
+    anchor_s = measure(
+        lambda witness: witness.tick(store), runs=runs,
+        setup=iter(witnesses).__next__,
+    ).best
+    witness = witnesses[-1]
+    if len(witness.log) != len(store.object_ids()):
+        raise RuntimeError(
+            f"witness tick anchored {len(witness.log)} of "
+            f"{len(store.object_ids())} objects"
+        )
+    idle_s = measure(lambda: witness.tick(store), runs=runs).best
     idle_speedup = anchor_s / idle_s if idle_s else float("inf")
 
     result.add(
@@ -1940,20 +1916,20 @@ def run_trust_bench(
         f"{idle_speedup:.1f}x faster",
     )
 
-    handoff_ok = handoff_cost <= max_handoff_cost
-    verify_ok = verify_overhead <= max_verify_overhead
-    idle_ok = idle_speedup >= idle_tick_floor
-    result.note(
-        f"GUARD {'OK' if handoff_ok else 'FAILED'}: hand-off append "
-        f"{handoff_cost:.2f}x an update (limit {max_handoff_cost:.1f}x)"
+    handoff_ok = result.guard(
+        handoff_cost <= HANDOFF_COST_LIMIT,
+        f"hand-off append {handoff_cost:.2f}x an update "
+        f"(limit {HANDOFF_COST_LIMIT:.1f}x)",
     )
-    result.note(
-        f"GUARD {'OK' if verify_ok else 'FAILED'}: per-record verify "
-        f"overhead {verify_overhead:.2f}x solo (limit {max_verify_overhead:.1f}x)"
+    verify_ok = result.guard(
+        verify_overhead <= HANDOFF_VERIFY_LIMIT,
+        f"per-record verify overhead {verify_overhead:.2f}x solo "
+        f"(limit {HANDOFF_VERIFY_LIMIT:.1f}x)",
     )
-    result.note(
-        f"GUARD {'OK' if idle_ok else 'FAILED'}: idle witness tick "
-        f"{idle_speedup:.1f}x faster than anchoring (floor {idle_tick_floor:.0f}x)"
+    idle_ok = result.guard(
+        idle_speedup >= IDLE_TICK_FLOOR,
+        f"idle witness tick {idle_speedup:.1f}x faster than anchoring "
+        f"(floor {IDLE_TICK_FLOOR:.0f}x)",
     )
 
     result.metrics = {
@@ -1975,11 +1951,11 @@ def run_trust_bench(
         "witness_idle_tick_s": idle_s,
         "idle_speedup": idle_speedup,
         "guard": {
-            "max_handoff_cost": max_handoff_cost,
+            "max_handoff_cost": HANDOFF_COST_LIMIT,
             "handoff_ok": handoff_ok,
-            "max_verify_overhead": max_verify_overhead,
+            "max_verify_overhead": HANDOFF_VERIFY_LIMIT,
             "verify_ok": verify_ok,
-            "idle_tick_floor": idle_tick_floor,
+            "idle_tick_floor": IDLE_TICK_FLOOR,
             "idle_ok": idle_ok,
             "ok": handoff_ok and verify_ok and idle_ok,
         },

@@ -52,6 +52,7 @@ __all__ = [
     "GATE_METRICS",
     "gate_check",
     "compare_entries",
+    "signed_append",
     "run_gate_workload",
     "GATE_WORKLOAD",
 ]
@@ -330,6 +331,47 @@ class _SlowdownScheme:
         setattr(self._inner, name, value)
 
 
+def signed_append(
+    scheme: str,
+    *,
+    key_bits: int,
+    seed: int,
+    batches: int,
+    flush_size: int,
+    runs: int,
+    slowdown: float = 0.0,
+):
+    """Time the end-to-end signed-append arm: a :class:`TimingResult`.
+
+    Each run signs ``batches`` flushes.  Each batch is one complex
+    operation updating ``flush_size`` flat objects, so every flush
+    stages exactly ``flush_size`` records: per-record RSA signs each of
+    them, Merkle-batch signs one root.  ``slowdown`` > 0 wraps the
+    signer in :class:`_SlowdownScheme`.
+    """
+    import itertools
+
+    from repro.bench.timer import measure
+    from repro.core.system import TamperEvidentDatabase
+
+    db = TamperEvidentDatabase(key_bits=key_bits, seed=seed, signature_scheme=scheme)
+    signer = db.enroll("signer")
+    if slowdown > 0:
+        signer.scheme = _SlowdownScheme(signer.scheme, slowdown)
+    session = db.session(signer)
+    with session.complex_operation():  # create objects untimed
+        for j in range(flush_size):
+            session.insert(f"s{j}", j)
+
+    def one_run(run_no: int) -> None:
+        for b in range(batches):
+            with session.complex_operation():
+                for j in range(flush_size):
+                    session.update(f"s{j}", run_no * 10_000 + b)
+
+    return measure(one_run, runs=runs, setup=itertools.count().__next__)
+
+
 def run_gate_workload(
     slowdown: float = 0.0,
 ) -> Tuple[Dict[str, float], Dict[str, object], Dict[str, object]]:
@@ -344,11 +386,11 @@ def run_gate_workload(
     :class:`_SlowdownScheme`) so the gate's sensitivity can be verified
     end to end.
     """
-    import random
-
-    from repro import TamperEvidentDatabase, obs
+    from repro import obs
+    from repro.bench.timer import measure
     from repro.core.verifier import Verifier
     from repro.obs.profile import PhaseProfiler
+    from repro.workloads.signed import signed_world
 
     params = dict(GATE_WORKLOAD)
     seed = int(params["seed"])
@@ -360,52 +402,27 @@ def run_gate_workload(
     prior = obs.OBS.profiler
     profiler = obs.enable_profile(reset=True)
     try:
-        def signed_append(scheme: str) -> float:
-            sdb = TamperEvidentDatabase(
-                key_bits=key_bits,
-                rng=random.Random(seed),
-                signature_scheme=scheme,
-            )
-            participant = sdb.enroll("gate")
-            if slowdown > 0:
-                participant.scheme = _SlowdownScheme(participant.scheme, slowdown)
-            session = sdb.session(participant)
-            with session.complex_operation():  # create objects untimed
-                for j in range(flush_size):
-                    session.insert(f"g{j}", j)
-            best = float("inf")
-            for run_no in range(runs):
-                start = time.perf_counter()
-                for b in range(batches):
-                    with session.complex_operation():
-                        for j in range(flush_size):
-                            session.update(f"g{j}", run_no * 10_000 + b)
-                best = min(best, time.perf_counter() - start)
-            return best
-
         signing_records = batches * flush_size
-        rsa_s = signed_append("rsa-pkcs1v15")
-        merkle_s = signed_append("merkle-batch")
-
-        rng = random.Random(seed)
-        vdb = TamperEvidentDatabase(key_bits=key_bits, rng=rng)
-        vsession = vdb.session(vdb.enroll("gate-verify"))
-        n_objects = int(params["verify_objects"])
-        n_updates = int(params["verify_updates"])
-        for i in range(n_objects):
-            vsession.insert(f"v{i}", i)
-            for update in range(n_updates):
-                vsession.update(f"v{i}", i * 1000 + update)
+        rsa_s, merkle_s = (
+            signed_append(
+                scheme, key_bits=key_bits, seed=seed, batches=batches,
+                flush_size=flush_size, runs=runs, slowdown=slowdown,
+            ).best
+            for scheme in ("rsa-pkcs1v15", "merkle-batch")
+        )
+        vdb, _ = signed_world(
+            int(params["verify_objects"]), int(params["verify_updates"]),
+            key_bits=key_bits, seed=seed, participant="gate-verify",
+        )
         records = list(vdb.provenance_store.all_records())
         verifier = Verifier(vdb.keystore())
-        verify_s = float("inf")
-        for _ in range(runs):
-            start = time.perf_counter()
-            report = verifier.verify_records(records)
-            verify_s = min(verify_s, time.perf_counter() - start)
-        if not report.ok:
+        reports = []
+        verify_s = measure(
+            lambda: reports.append(verifier.verify_records(records)), runs=runs
+        ).best
+        if not reports[-1].ok:
             raise RuntimeError(
-                "gate workload failed verification: " + report.summary()
+                "gate workload failed verification: " + reports[-1].summary()
             )
 
         metrics: Dict[str, float] = {

@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from scipy import stats
-
 __all__ = ["TimingResult", "measure"]
 
 
@@ -34,11 +32,19 @@ class TimingResult:
         return sum(self.samples) / len(self.samples)
 
     @property
+    def best(self) -> float:
+        """Fastest run in seconds: what the guarded benchmarks compare,
+        since timer noise only ever adds time."""
+        return min(self.samples)
+
+    @property
     def ci95(self) -> float:
         """Half-width of the 95% confidence interval (0 for one run).
 
         Student-t based, matching small-sample practice.
         """
+        from scipy import stats
+
         n = len(self.samples)
         if n < 2:
             return 0.0

@@ -51,6 +51,34 @@ def parse_value(text: Optional[str]) -> Value:
     return text
 
 
+def _add_scheme(p) -> None:
+    from repro.crypto.pki import SCHEME_ALIASES
+
+    p.add_argument("--scheme", choices=tuple(SCHEME_ALIASES), default="rsa",
+                   help="record signature scheme (merkle-batch signs one "
+                        "Merkle root per flush instead of every record)")
+
+
+def _add_synthetic_world(p) -> None:
+    """The seeded in-memory world of ``stats``, ``trace`` and
+    ``monitor --synthetic`` (see :func:`repro.workloads.signed_world`)."""
+    p.add_argument("--objects", type=int, default=6, help="objects to create")
+    p.add_argument("--updates", type=int, default=3, help="updates per object")
+    p.add_argument("--seed", type=int, default=42, help="RNG seed for key generation")
+    p.add_argument("--key-bits", type=int, default=512)
+    p.add_argument("--workers", type=int, default=1,
+                   help="verification workers (>1 exercises the parallel path)")
+    _add_scheme(p)
+
+
+def _add_service(p) -> None:
+    """Where ``client``, ``dash`` and ``alerts`` find the service."""
+    p.add_argument("--url", required=True, help="service base URL")
+    p.add_argument("--token", default=None,
+                   help="API key (default: $REPRO_API_KEY; dash and alerts "
+                        "need the admin key)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -171,16 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(counters, gauges, latency histograms). No workspace needed."
         ),
     )
-    p.add_argument("--objects", type=int, default=6, help="objects to create")
-    p.add_argument("--updates", type=int, default=3, help="updates per object")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed for key generation")
-    p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--workers", type=int, default=1,
-                   help="verification workers (>1 exercises the parallel path)")
-    p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                   default="rsa",
-                   help="signature scheme (merkle-batch signs one Merkle "
-                        "root per flush instead of every record)")
+    _add_synthetic_world(p)
     p.add_argument("--json", action="store_true", help="emit a JSON snapshot")
     p.add_argument("--prometheus", action="store_true",
                    help="emit Prometheus text exposition format")
@@ -224,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="verification workers (>1 exercises the parallel path)")
     p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                   default="rsa",
-                   help="signature scheme the workload signs with")
+    _add_scheme(p)
     p.add_argument("--trust", choices=("solo", "hand-off", "k-collusion", "witnessed"),
                    default="solo",
                    help="multi-participant adversary mode: hand-off weaves "
@@ -266,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ticks to run in watch mode (default: 5)")
     p.add_argument("--interval", type=float, default=1.0,
                    help="seconds between watch-mode ticks")
-    p.add_argument("--workers", type=int, default=1,
-                   help="verification workers for cold/full passes")
     p.add_argument("--lag-threshold", type=int, default=64,
                    help="watermark-lag alert threshold (records)")
     p.add_argument("--latency-threshold", type=float, default=0.5,
@@ -278,15 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append structured events to this JSONL file")
     p.add_argument("--synthetic", action="store_true",
                    help="monitor a seeded in-memory workload (no workspace)")
-    p.add_argument("--objects", type=int, default=6,
-                   help="synthetic mode: objects to create")
-    p.add_argument("--updates", type=int, default=3,
-                   help="synthetic mode: updates per object")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                   default="rsa",
-                   help="synthetic mode: signature scheme of the workload")
+    _add_synthetic_world(p)
     p.add_argument("--tamper", choices=("none", "R1", "R2", "rewrite"),
                    default="none",
                    help="synthetic mode: tamper the store after a baseline "
@@ -372,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for per-tenant key generation")
     p.add_argument("--key-bits", type=int, default=1024)
-    p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                   default="rsa", help="signature scheme for tenant worlds")
+    _add_scheme(p)
     p.add_argument("--shards", type=int, default=4,
                    help="provenance shards per tenant")
     p.add_argument("--store-root", default=None, metavar="DIR",
@@ -416,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
             "printed at startup."
         ),
     )
-    p.add_argument("--url", required=True, help="service base URL")
-    p.add_argument("--token", default=None,
-                   help="API key (default: $REPRO_API_KEY)")
+    _add_service(p)
     p.add_argument("--retries", type=int, default=3,
                    help="503 retry budget per request")
     client_sub = p.add_subparsers(dest="client_command", required=True)
@@ -487,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
             "refreshes every --interval seconds until interrupted."
         ),
     )
-    p.add_argument("--url", required=True, help="service base URL")
-    p.add_argument("--token", default=None,
-                   help="admin API key (default: $REPRO_API_KEY)")
+    _add_service(p)
     p.add_argument("--interval", type=float, default=2.0,
                    help="seconds between refreshes (default: 2)")
     p.add_argument("--ticks", type=int, default=0,
@@ -513,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     alerts_sub = p.add_subparsers(dest="alerts_command", required=True)
     ap = alerts_sub.add_parser("tail", help="print the alert stream")
-    ap.add_argument("--url", required=True, help="service base URL")
-    ap.add_argument("--token", default=None,
-                    help="admin API key (default: $REPRO_API_KEY)")
+    _add_service(ap)
     ap.add_argument("--since", type=int, default=-1,
                     help="start after this event sequence (default: all)")
     ap.add_argument("--follow", action="store_true",
@@ -537,8 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the custody/collusion adversary drills against a seeded attack "
             "world and checks every outcome against its expectation; "
             "`witness-tick` countersigns the workspace store's chain tails "
-            "into an append-only anchor log; `audit` cross-checks the store "
-            "against that log and exits non-zero on any contradiction."
+            "into the workspace anchor log (the one `anchor` and `verify "
+            "--anchors` use); `audit` cross-checks the store against that "
+            "log and exits non-zero on any contradiction."
         ),
     )
     trust_sub = p.add_subparsers(dest="trust_command", required=True)
@@ -552,26 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--k", type=int, default=2,
                     help="coalition size for the k-collusion drill")
     tp.add_argument("--key-bits", type=int, default=512)
-    tp.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                    default="rsa", help="participants' signature scheme")
+    _add_scheme(tp)
     tp.add_argument("--json", action="store_true", help="emit the JSON report")
-    tp = trust_sub.add_parser(
+    trust_sub.add_parser(
         "witness-tick",
-        help="countersign the workspace store's chain tails into an anchor log",
+        help="countersign the workspace store's chain tails into its anchor log",
     )
-    tp.add_argument("--log", default="witness-anchors.jsonl", metavar="PATH",
-                    help="anchor log file (created if missing)")
-    tp.add_argument("--witness-seed", type=int, default=0x517,
-                    help="seed the witness key pair is derived from (use the "
-                         "same seed to continue a log)")
-    tp.add_argument("--key-bits", type=int, default=512)
     tp = trust_sub.add_parser(
         "audit",
-        help="cross-check the workspace store against a witness anchor log",
+        help="cross-check the workspace store against its anchor log",
     )
-    tp.add_argument("--log", default="witness-anchors.jsonl", metavar="PATH")
-    tp.add_argument("--witness-seed", type=int, default=0x517)
-    tp.add_argument("--key-bits", type=int, default=512)
     tp.add_argument("--json", action="store_true", help="emit mismatches as JSON")
 
     p = sub.add_parser(
@@ -582,14 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and renders the verification trace as a tree (or JSON)."
         ),
     )
-    p.add_argument("--objects", type=int, default=6)
-    p.add_argument("--updates", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--key-bits", type=int, default=512)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
-                   default="rsa",
-                   help="signature scheme of the synthetic workload")
+    _add_synthetic_world(p)
     p.add_argument("--json", action="store_true", help="emit the trace as JSON")
 
     return parser
@@ -608,34 +592,56 @@ def _cmd_init(args) -> int:
     return 0
 
 
-def _synthetic_workload(args):
-    """The seeded in-memory workload behind ``stats`` and ``trace``.
+def _emit(args, payload, render=None, what="output", failed=False, error="") -> int:
+    """Print a command's answer and return its exit code.
 
-    Deterministic for a given seed: key generation, object ids, and
-    values are all derived from ``args.seed``, so two runs produce
-    identical metric counts (timing histograms aside).
+    A string ``payload`` prints as is; anything else as indented,
+    key-sorted JSON, or through ``render`` when one is given and
+    ``--json`` is not.  With ``-o PATH`` the text goes to that file and
+    stdout says so.  Exits 1 if ``failed`` (saying ``error: <error>`` on
+    stderr when ``error`` is given), else 0.
     """
-    from repro.core.system import TamperEvidentDatabase
+    if isinstance(payload, str):
+        text = payload
+    elif render is None or getattr(args, "json", False):
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        text = render(payload)
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w") as f:
+            f.write(text + "\n")
+        print(f"wrote {what} to {output}")
+    else:
+        print(text)
+    if failed and error:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
-    db = TamperEvidentDatabase(
-        key_bits=args.key_bits,
-        seed=args.seed,
-        signature_scheme=getattr(args, "scheme", "rsa"),
+
+def _synthetic_world(args, participant: str):
+    """The seeded in-memory world behind ``stats``, ``trace`` and
+    ``monitor --synthetic``: deterministic for a given ``--seed``, so
+    two runs produce identical metric counts (timing histograms aside)."""
+    from repro.workloads.signed import signed_world
+
+    return signed_world(
+        args.objects, args.updates, key_bits=args.key_bits, seed=args.seed,
+        scheme=args.scheme, participant=participant,
     )
-    participant = db.enroll("stats")
-    session = db.session(participant)
-    for i in range(args.objects):
-        session.insert(f"obj{i}", i)
-        for update in range(args.updates):
-            session.update(f"obj{i}", i * 1000 + update)
+
+
+def _synthetic_workload(args):
+    """``stats``/``trace``: the synthetic world, one aggregate, one verify."""
+    db, participant = _synthetic_world(args, "stats")
     if args.objects >= 2:
-        session.aggregate(["obj0", "obj1"], "agg")
+        db.session(participant).aggregate(["obj0", "obj1"], "agg")
     return db.verify("obj0", workers=args.workers)
 
 
 def _cmd_stats(args) -> int:
     from repro import obs
-    from repro.obs.export import render_text, to_json, to_prometheus
+    from repro.obs.export import render_text, to_prometheus
 
     obs.enable(reset=True)
     try:
@@ -643,19 +649,8 @@ def _cmd_stats(args) -> int:
         snap = obs.snapshot()
     finally:
         obs.disable()
-    if args.json:
-        text = to_json(snap)
-    elif args.prometheus:
-        text = to_prometheus(snap)
-    else:
-        text = render_text(snap)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-        print(f"wrote metrics to {args.output}")
-    else:
-        print(text)
-    return 0
+    render = to_prometheus if args.prometheus else render_text
+    return _emit(args, snap, render, what="metrics")
 
 
 def _cmd_chaos(args) -> int:
@@ -694,9 +689,8 @@ def _cmd_chaos(args) -> int:
     )
     report = run_chaos(config)
     inv = report["invariants"]
-    if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:
+
+    def render(report) -> str:
         workload = report["workload"]
         lines = [
             f"chaos seed {seed}: {workload['applied']}/{workload['ops']} ops "
@@ -733,52 +727,12 @@ def _cmd_chaos(args) -> int:
             f"no_false_negatives={inv['no_false_negatives']} "
             f"trust_holds={inv['trust_holds']}"
         )
-        text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-        print(f"wrote chaos report to {args.output}")
-    else:
-        print(text)
-    if not inv["ok"]:
-        print(f"error: chaos invariants violated (seed {seed})", file=sys.stderr)
-        return 1
-    return 0
+        return "\n".join(lines)
 
-
-def _monitor_tamper(store, requirement: str) -> None:
-    """Simulate an attacker with raw store access (synthetic mode only).
-
-    Goes around the append-time validation on purpose — the paper's
-    threat model is exactly an adversary who edits the store directly.
-    ``R1`` rewrites a tail record's checksum in place; ``R2`` removes a
-    verified tail record.
-    """
-    import dataclasses
-
-    target = store.object_ids()[0]
-    chain = store.records_for(target)
-    victim = chain[-1]
-    if requirement == "R2":
-        store.discard(target, victim.seq_id)
-        return
-    forged = dataclasses.replace(
-        victim, checksum=b"\x00" * max(1, len(victim.checksum))
+    return _emit(
+        args, report, render, what="chaos report", failed=not inv["ok"],
+        error=f"chaos invariants violated (seed {seed})",
     )
-    conn = getattr(store, "_conn", None)
-    if conn is not None:
-        # Readers deserialize the payload blob, so the forgery must land
-        # there too — the checksum column alone only feeds _tail().
-        payload = json.dumps(forged.to_dict(), separators=(",", ":"))
-        with conn:
-            conn.execute(
-                "UPDATE provenance SET checksum = ?, payload = ?"
-                " WHERE object_id = ? AND seq_id = ?",
-                (forged.checksum, payload, forged.object_id, forged.seq_id),
-            )
-        store._tail_cache.pop(target, None)
-    else:
-        store._chains[target][-1] = forged
 
 
 def _monitor_watch(args, monitor) -> int:
@@ -831,18 +785,24 @@ def _run_monitor(args, store, keystore, witness=None, participant=None) -> int:
         # otherwise an R2 tail removal leaves a shorter-but-valid chain
         # no verifier could flag.
         monitor.tick()
+        # An attacker with raw store access, going around append-time
+        # validation: R1 forges a tail checksum, R2 removes a verified
+        # tail record, and rewrite is the full-coalition attack — the
+        # workload's own signer re-signs the tail with a different
+        # value, internally consistent, so only the witness anchors
+        # (made before the rewrite) can contradict it.
+        target = store.object_ids()[0]
+        tail = store.latest(target)
         if args.tamper == "rewrite":
-            # Full-coalition attack: the workload's own signer re-signs a
-            # tail with a different value — internally consistent, so it
-            # passes every signature check and only the witness anchors
-            # (made before the rewrite) can contradict it.
             from repro.trust.coalition import rewrite_store_suffix
 
-            target = store.object_ids()[0]
-            tail = store.latest(target)
             rewrite_store_suffix(store, target, tail.seq_id, [participant], 31337)
+        elif args.tamper == "R2":
+            store.discard(target, tail.seq_id)
         else:
-            _monitor_tamper(store, args.tamper)
+            from repro.attacks.tampering import forge_stored_checksum
+
+            forge_stored_checksum(store, target)
     if not args.once:
         return _monitor_watch(args, monitor)
     # A one-shot audit must not trust watermarks it didn't earn: a full
@@ -851,14 +811,9 @@ def _run_monitor(args, store, keystore, witness=None, participant=None) -> int:
     result = monitor.tick(full=True)
     snapshot = monitor.snapshot()
     snapshot["last_tick"] = result.to_dict()
-    text = json.dumps(snapshot, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-        print(f"wrote health snapshot to {args.output}")
-    else:
-        print(text)
-    return 1 if monitor.has_tamper_alerts else 0
+    return _emit(
+        args, snapshot, what="health snapshot", failed=monitor.has_tamper_alerts
+    )
 
 
 def _cmd_monitor(args) -> int:
@@ -868,21 +823,9 @@ def _cmd_monitor(args) -> int:
     obs.enable_events(path=args.events)
     try:
         if args.synthetic:
-            from repro.core.system import TamperEvidentDatabase
-
-            db = TamperEvidentDatabase(
-                key_bits=args.key_bits,
-                seed=args.seed,
-                signature_scheme=getattr(args, "scheme", "rsa"),
-            )
-            participant = db.enroll("monitor")
-            session = db.session(participant)
-            for i in range(args.objects):
-                session.insert(f"obj{i}", i)
-                for update in range(args.updates):
-                    session.update(f"obj{i}", i * 1000 + update)
+            db, participant = _synthetic_world(args, "monitor")
             witness = None
-            if getattr(args, "witness", False):
+            if args.witness:
                 from repro.trust.witness import Witness
 
                 # Anchored BEFORE any tamper: the drill is that history
@@ -1008,67 +951,56 @@ def _trust_simulate(args) -> int:
                    mismatches=[[f.object_id, f.seq_id, f.message]
                                for f in mismatches])
 
+    def render(report) -> str:
+        lines = [
+            f"[{'ok' if r['holds'] else 'VIOLATION'}] {r['drill']}: "
+            f"{'detected' if r['detected'] else 'undetected'} "
+            f"(expected {'detected' if r['expected'] else 'undetected'})"
+            for r in report["results"]
+        ]
+        lines.append(f"trust drills: {'all hold' if report['ok'] else 'VIOLATED'} "
+                     f"(seed {args.seed})")
+        return "\n".join(lines)
+
     ok = all(r["holds"] for r in results)
-    if args.json:
-        print(json.dumps({"seed": args.seed, "scheme": args.scheme,
-                          "results": results, "ok": ok},
-                         indent=2, sort_keys=True))
-    else:
-        for r in results:
-            verdict = "detected" if r["detected"] else "undetected"
-            expected = "detected" if r["expected"] else "undetected"
-            status = "ok" if r["holds"] else "VIOLATION"
-            print(f"[{status}] {r['drill']}: {verdict} (expected {expected})")
-        print(f"trust drills: {'all hold' if ok else 'VIOLATED'} (seed {args.seed})")
-    if not ok:
-        print(f"error: trust expectation violated (seed {args.seed})",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _emit(
+        args, {"seed": args.seed, "scheme": args.scheme, "results": results, "ok": ok},
+        render, failed=not ok, error=f"trust expectation violated (seed {args.seed})",
+    )
 
 
 def _cmd_trust(args) -> int:
-    from repro.trust.witness import AnchorLog, Witness, check_anchors
-
     if args.trust_command == "simulate":
         return _trust_simulate(args)
 
     with Workspace(args.workspace) as ws:
-        db = ws.database()
-        store = db.provenance_store
-        witness = Witness.generate(
-            key_bits=args.key_bits,
-            seed=args.witness_seed,
-            log=AnchorLog.load(args.log),
-        )
         if args.trust_command == "witness-tick":
-            fresh = witness.tick(store)
-            witness.log.save(args.log)
+            fresh = ws.witness_tick()
             for anchor in fresh:
                 print(f"anchored {anchor.checkpoint.object_id!r} seq "
                       f"{anchor.checkpoint.seq_id} (entry {anchor.position})")
-            print(f"{len(fresh)} new anchor(s); log {args.log} now has "
-                  f"{len(witness.log)} entries")
+            print(f"{len(fresh)} new anchor(s); log {ws.anchor_log_path} now has "
+                  f"{len(ws.anchor_log())} entries")
             return 0
         # audit
-        mismatches = check_anchors(store, witness.log, witness.verifier())
-        if args.json:
-            print(json.dumps({
-                "log": args.log, "entries": len(witness.log),
-                "mismatches": [[f.object_id, f.seq_id, f.message]
-                               for f in mismatches],
-                "ok": not mismatches,
-            }, indent=2, sort_keys=True))
-        else:
-            for f in mismatches:
-                print(f"MISMATCH {f.object_id!r} seq {f.seq_id}: {f.message}")
-            print(f"audited {len(witness.log)} anchor(s): "
-                  f"{'store matches the witness' if not mismatches else 'TAMPERED'}")
-        if mismatches:
-            print("error: store contradicts the witness anchor log",
-                  file=sys.stderr)
-            return 1
-        return 0
+        mismatches = ws.check_anchors(ws.database().provenance_store)
+        entries = len(ws.anchor_log())
+
+        def render(report) -> str:
+            lines = [f"MISMATCH {oid!r} seq {seq}: {message}"
+                     for oid, seq, message in report["mismatches"]]
+            lines.append(f"audited {entries} anchor(s): "
+                         f"{'store matches the witness' if report['ok'] else 'TAMPERED'}")
+            return "\n".join(lines)
+
+        return _emit(
+            args,
+            {"log": str(ws.anchor_log_path), "entries": entries,
+             "mismatches": [[f.object_id, f.seq_id, f.message] for f in mismatches],
+             "ok": not mismatches},
+            render, failed=bool(mismatches),
+            error="store contradicts the witness anchor log",
+        )
 
 
 def _bench_entry(args, slowdown: float = 0.0):
@@ -1268,57 +1200,66 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_client(args) -> int:
+def _with_service(args, body, error_code: int = 1, **options) -> int:
+    """Run ``body(client)`` against ``--url`` with ``--token`` (default
+    ``$REPRO_API_KEY``).  A refused request or an unreachable server
+    prints ``error: ...`` and exits ``error_code``."""
     import os
 
     from repro.service.client import ServiceClient, ServiceHTTPError
 
     token = args.token or os.environ.get("REPRO_API_KEY")
-    client = ServiceClient(args.url, token=token, retries=args.retries)
-    command = args.client_command
     try:
-        if command == "healthz":
-            response = client.healthz(quick=args.quick)
-            print(json.dumps(response.json, indent=2, sort_keys=True))
-            return 0 if response.ok else 1
-        if command == "issue-key":
-            result = client.issue_key(
-                args.tenant, ttl=args.ttl, scopes=tuple(args.scope or ()),
-            )
-        elif command == "revoke-key":
-            result = client.revoke_key(args.key_id)
-        elif command == "insert":
-            result = client.insert(
-                args.object_id, parse_value(args.value),
-                parent=args.parent, note=args.note,
-            )
-        elif command == "update":
-            result = client.update(
-                args.object_id, parse_value(args.value), note=args.note
-            )
-        elif command == "delete":
-            result = client.delete(args.object_id, note=args.note)
-        elif command == "aggregate":
-            result = client.aggregate(args.inputs, args.output_id, note=args.note)
-        elif command == "verify":
-            result = client.verify(args.object_id, workers=args.workers)
-        elif command == "objects":
-            result = client.objects()
-        elif command == "provenance":
-            result = client.provenance(args.object_id)
-        elif command == "lineage":
-            result = client.lineage(args.object_id)
-        elif command == "recover":
-            result = client.recover()
-        else:
-            raise AssertionError(f"unhandled client command {command!r}")
+        return body(ServiceClient(args.url, token=token, **options))
     except ServiceHTTPError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if command == "verify":
-        return 0 if result.get("ok") else 1
-    return 0
+    except OSError as exc:
+        print(f"error: {args.url}: {exc}", file=sys.stderr)
+    return error_code
+
+
+def _cmd_client(args) -> int:
+    return _with_service(args, lambda client: _client_call(args, client),
+                         retries=args.retries)
+
+
+def _client_call(args, client) -> int:
+    command = args.client_command
+    if command == "healthz":
+        response = client.healthz(quick=args.quick)
+        return _emit(args, response.json, failed=not response.ok)
+    if command == "issue-key":
+        result = client.issue_key(
+            args.tenant, ttl=args.ttl, scopes=tuple(args.scope or ()),
+        )
+    elif command == "revoke-key":
+        result = client.revoke_key(args.key_id)
+    elif command == "insert":
+        result = client.insert(
+            args.object_id, parse_value(args.value),
+            parent=args.parent, note=args.note,
+        )
+    elif command == "update":
+        result = client.update(
+            args.object_id, parse_value(args.value), note=args.note
+        )
+    elif command == "delete":
+        result = client.delete(args.object_id, note=args.note)
+    elif command == "aggregate":
+        result = client.aggregate(args.inputs, args.output_id, note=args.note)
+    elif command == "verify":
+        result = client.verify(args.object_id, workers=args.workers)
+    elif command == "objects":
+        result = client.objects()
+    elif command == "provenance":
+        result = client.provenance(args.object_id)
+    elif command == "lineage":
+        result = client.lineage(args.object_id)
+    elif command == "recover":
+        result = client.recover()
+    else:
+        raise AssertionError(f"unhandled client command {command!r}")
+    return _emit(args, result, failed=command == "verify" and not result.get("ok"))
 
 
 def _metric_labels(key: str) -> Tuple[str, Dict[str, str]]:
@@ -1394,27 +1335,20 @@ def _dash_snapshot(client) -> Dict[str, object]:
 
 
 def _cmd_dash(args) -> int:
-    import os
+    return _with_service(args, lambda client: _dash_loop(args, client))
+
+
+def _dash_loop(args, client) -> int:
     import time
 
     from repro.bench.reporting import format_table
-    from repro.service.client import ServiceClient, ServiceHTTPError
 
-    token = args.token or os.environ.get("REPRO_API_KEY")
-    client = ServiceClient(args.url, token=token)
     frames = 1 if args.once else (args.ticks if args.ticks > 0 else None)
     interactive = sys.stdout.isatty() and not args.once
     previous: Optional[Tuple[float, int, Dict[str, int]]] = None
     rendered = 0
     while True:
-        try:
-            snap = _dash_snapshot(client)
-        except ServiceHTTPError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {args.url}: {exc}", file=sys.stderr)
-            return 1
+        snap = _dash_snapshot(client)
         now = time.monotonic()
         tenant_reqs = {
             tenant: int(row["requests"])
@@ -1488,13 +1422,13 @@ def _format_alert_event(event: Dict[str, object]) -> str:
 
 
 def _cmd_alerts(args) -> int:
-    import os
+    return _with_service(args, lambda client: _alerts_loop(args, client),
+                         error_code=2)
+
+
+def _alerts_loop(args, client) -> int:
     import time
 
-    from repro.service.client import ServiceClient, ServiceHTTPError
-
-    token = args.token or os.environ.get("REPRO_API_KEY")
-    client = ServiceClient(args.url, token=token)
     cursor = args.since
     tampering = False
     shown = 0
@@ -1502,16 +1436,7 @@ def _cmd_alerts(args) -> int:
         time.monotonic() + args.duration if args.duration > 0 else None
     )
     while True:
-        try:
-            page = client.alerts(
-                since=cursor, wait=args.wait if args.follow else 0.0
-            )
-        except ServiceHTTPError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {args.url}: {exc}", file=sys.stderr)
-            return 2
+        page = client.alerts(since=cursor, wait=args.wait if args.follow else 0.0)
         cursor = page.get("cursor", cursor)
         for event in page.get("events", []):
             if args.json:
@@ -1543,11 +1468,10 @@ def _cmd_trace(args) -> int:
     if root is None:
         print("error: no trace was recorded", file=sys.stderr)
         return 1
-    print(trace_to_json(root) if args.json else render_trace(root))
-    return 0
+    return _emit(args, trace_to_json(root) if args.json else render_trace(root))
 
 
-def _cmd_verify_shipment(args, workspace_dir: str) -> int:
+def _cmd_verify_shipment(args) -> int:
     with open(args.shipment_file) as f:
         shipment = Shipment.from_json(f.read())
     if args.ca_key:
@@ -1556,12 +1480,11 @@ def _cmd_verify_shipment(args, workspace_dir: str) -> int:
         public_key = public_key_from_dict(data["public_key"])
         ca_name = data["ca_name"]
     else:
-        with Workspace(workspace_dir) as ws:
+        with Workspace(args.workspace) as ws:
             public_key = ws.ca.public_key
             ca_name = ws.ca.name
     report = shipment.verify_with_ca(public_key, ca_name)
-    print(render_report(report))
-    return 0 if report.ok else 1
+    return _emit(args, render_report(report), failed=not report.ok)
 
 
 def _run_shell(sql, db, root_id: str, input_stream=None) -> int:
@@ -1618,30 +1541,16 @@ def _dispatch(args) -> int:
 
         print(__version__)
         return 0
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "init":
-        return _cmd_init(args)
-    if args.command == "verify-shipment":
-        return _cmd_verify_shipment(args, args.workspace)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
-    if args.command == "trust":
-        return _cmd_trust(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "client":
-        return _cmd_client(args)
-    if args.command == "dash":
-        return _cmd_dash(args)
-    if args.command == "alerts":
-        return _cmd_alerts(args)
+    # Commands with their own handler; the rest share one open workspace.
+    handler = {
+        "bench": _cmd_bench, "init": _cmd_init,
+        "verify-shipment": _cmd_verify_shipment, "stats": _cmd_stats,
+        "chaos": _cmd_chaos, "monitor": _cmd_monitor, "trust": _cmd_trust,
+        "trace": _cmd_trace, "serve": _cmd_serve, "client": _cmd_client,
+        "dash": _cmd_dash, "alerts": _cmd_alerts,
+    }.get(args.command)
+    if handler is not None:
+        return handler(args)
 
     with Workspace(args.workspace) as ws:
         if args.command == "enroll":
@@ -1722,8 +1631,8 @@ def _dispatch(args) -> int:
 
         if args.command == "audit":
             report = db.verify(args.object_id)
-            print(audit_trail(db.dag(args.object_id), args.object_id, report))
-            return 0 if report.ok else 1
+            text = audit_trail(db.dag(args.object_id), args.object_id, report)
+            return _emit(args, text, failed=not report.ok)
 
         if args.command == "lineage":
             print(lineage_summary(db.dag(args.object_id), args.object_id))
@@ -1756,17 +1665,14 @@ def _dispatch(args) -> int:
                     ok=report.ok and not mismatches,
                     failures=report.failures + mismatches,
                 )
-            print(render_report(report))
-            return 0 if report.ok else 1
+            return _emit(args, render_report(report), failed=not report.ok)
 
         if args.command == "lint":
             from repro.audit.lint import lint_store
 
             report = lint_store(db.provenance_store)
-            print(report.summary())
-            for issue in report.issues:
-                print(f"  - {issue}")
-            return 0 if report.ok else 1
+            lines = [report.summary()] + [f"  - {issue}" for issue in report.issues]
+            return _emit(args, "\n".join(lines), failed=not report.ok)
 
         if args.command == "dot":
             from repro.audit.dot import to_dot
@@ -1774,13 +1680,7 @@ def _dispatch(args) -> int:
             text = to_dot(
                 db.dag(args.object_id), args.object_id, include_notes=args.notes
             )
-            if args.output:
-                with open(args.output, "w") as f:
-                    f.write(text)
-                print(f"wrote DOT graph to {args.output}")
-            else:
-                print(text)
-            return 0
+            return _emit(args, text, what="DOT graph")
 
         if args.command == "ship":
             shipment = db.ship(args.object_id)

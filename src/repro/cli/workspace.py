@@ -9,7 +9,8 @@ A workspace directory holds everything a provenance deployment needs:
         <id>.json          each participant's private key + certificate
       backend.db           SQLite back-end database
       provenance.db        SQLite provenance database
-      anchors.jsonl        witness anchor log (``repro anchor``)
+      anchors.jsonl        witness anchor log (``repro anchor``,
+                           ``repro trust witness-tick``)
       anchor-service.json  the anchoring witness's private key, and
       anchor-service.pub.json  its public half (both made on first anchor)
 
@@ -61,6 +62,7 @@ class Workspace:
             raise WorkspaceError(
                 f"{self.path} is not a workspace (run 'repro init' first)"
             )
+        self.anchor_log_path = self.path / _ANCHOR_LOG
         self.config = json.loads(config_file.read_text())
         self.ca = CertificateAuthority.from_dict(json.loads(ca_file.read_text()))
         self._store: Optional[SQLiteStore] = None
@@ -204,19 +206,29 @@ class Workspace:
     def anchor(self, object_id: str) -> WitnessAnchor:
         """Countersign ``object_id``'s chain tail into the anchor log.
 
-        The workspace witness's key pair is created on first use, with
-        its public half written beside it, so :meth:`check_anchors`
-        never reads the private key.  In production the witness would
-        run *outside* the participants' control; a workspace-local one
-        still demonstrates the mechanics and protects against later
-        tampering of this store.
-
         Raises:
             VerificationError: If the object has no records.
         """
         checkpoint = Checkpoint.from_records(
             object_id, self.database().provenance_store.records_for(object_id)
         )
+        return self._countersign(lambda witness: witness.anchor(checkpoint))
+
+    def witness_tick(self) -> Tuple[WitnessAnchor, ...]:
+        """Countersign every chain tail the anchor log does not cover yet
+        (one :meth:`~repro.trust.witness.Witness.tick`)."""
+        store = self.database().provenance_store
+        return self._countersign(lambda witness: witness.tick(store))
+
+    def _countersign(self, act):
+        """Run ``act(witness)`` with the workspace witness, then save the log.
+
+        The witness's key pair is created on first use, with its public
+        half written beside it, so :meth:`check_anchors` never reads the
+        private key.  In production the witness would run *outside* the
+        participants' control; a workspace-local one still demonstrates
+        the mechanics and protects against later tampering of this store.
+        """
         key_file = self.path / _ANCHOR_KEY
         if not key_file.exists():
             fresh = generate_keypair(self.config["key_bits"]).private
@@ -229,13 +241,13 @@ class Workspace:
             RSASignatureScheme(private, self.config["hash_algorithm"]),
             self.anchor_log(),
         )
-        anchor = witness.anchor(checkpoint)
-        witness.log.save(str(self.path / _ANCHOR_LOG))
-        return anchor
+        result = act(witness)
+        witness.log.save(str(self.anchor_log_path))
+        return result
 
     def anchor_log(self) -> AnchorLog:
         """The persisted anchor log (empty before the first anchor)."""
-        return AnchorLog.load(str(self.path / _ANCHOR_LOG))
+        return AnchorLog.load(str(self.anchor_log_path))
 
     def check_anchors(
         self, records, objects=None

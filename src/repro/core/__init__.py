@@ -13,14 +13,11 @@
 - :mod:`repro.core.shipment` — the (data, provenance, certificates)
   bundle exchanged with recipients.
 - :mod:`repro.core.redaction` — selective disclosure of shipped values.
-- :mod:`repro.core.concurrent` — thread-safe sessions with per-tree
-  locking (§3.2's parallel chain construction).
 - :mod:`repro.core.system` — :class:`TamperEvidentDatabase`, the façade
   most users should start from.
 """
 
 from repro.core.collector import ChecksumCollector
-from repro.core.concurrent import ConcurrentSession, TreeLockManager, concurrent_sessions
 from repro.core.redaction import (
     redact_object_values,
     redact_participant_values,
@@ -52,9 +49,6 @@ __all__ = [
     "VerificationReport",
     "VerificationFailure",
     "Shipment",
-    "ConcurrentSession",
-    "TreeLockManager",
-    "concurrent_sessions",
     "redact_values",
     "redact_participant_values",
     "redact_object_values",

@@ -94,8 +94,8 @@ class ChecksumCollector:
         self.faults = faults
         # Two-phase staging: records are signed into the staging area and
         # appended to the store only after the whole batch succeeded, so a
-        # failure mid-batch persists nothing.  Thread-local, so concurrent
-        # sessions (repro.core.concurrent) never interleave their batches.
+        # failure mid-batch persists nothing.  Thread-local, so sessions
+        # on different threads never interleave their batches.
         self._staging = threading.local()
 
     def __deepcopy__(self, memo):

@@ -38,12 +38,13 @@ __all__ = [
     "KeyStore",
     "Participant",
     "resolve_scheme_name",
+    "SCHEME_ALIASES",
 ]
 
-#: Accepted spellings of the two record signature schemes.  The chaos/CI
-#: matrix calls per-record RSA ``rsa-per-record``; records store the
-#: canonical ``rsa-pkcs1v15``.
-_SCHEME_ALIASES = {
+#: Accepted spellings of the two record signature schemes (the CLI's
+#: ``--scheme`` choices).  The chaos/CI matrix calls per-record RSA
+#: ``rsa-per-record``; records store the canonical ``rsa-pkcs1v15``.
+SCHEME_ALIASES = {
     "rsa": "rsa-pkcs1v15",
     "rsa-pkcs1v15": "rsa-pkcs1v15",
     "rsa-per-record": "rsa-pkcs1v15",
@@ -58,9 +59,9 @@ def resolve_scheme_name(name: str) -> str:
         CryptoError: For unknown scheme names.
     """
     try:
-        return _SCHEME_ALIASES[name.lower()]
+        return SCHEME_ALIASES[name.lower()]
     except KeyError:
-        known = ", ".join(sorted(_SCHEME_ALIASES))
+        known = ", ".join(sorted(SCHEME_ALIASES))
         raise CryptoError(
             f"unknown signature scheme {name!r}; known: {known}"
         ) from None

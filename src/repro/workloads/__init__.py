@@ -6,6 +6,9 @@
 - :mod:`repro.workloads.operations` — Table 2's complex operations:
   Setup A (update sweeps), Setup B (homogeneous 500-op batches), and
   Setup C (delete/insert/update mixes).
+- :mod:`repro.workloads.signed` — the seeded signed world of ``n``
+  objects x ``m`` updates the benchmarks and the CLI's synthetic
+  commands run on.
 """
 
 from repro.workloads.operations import (
@@ -18,6 +21,7 @@ from repro.workloads.operations import (
     apply_update_sweep,
     setup_a_points,
 )
+from repro.workloads.signed import signed_world
 from repro.workloads.synthetic import (
     PAPER_COMBINATIONS,
     PAPER_TABLES,
@@ -46,4 +50,5 @@ __all__ = [
     "apply_row_inserts",
     "apply_row_deletes",
     "apply_mixed_operations",
+    "signed_world",
 ]

@@ -96,3 +96,28 @@ class TestDetectionDetails:
         forged = tampering.forge_attribution(world.shipment, "x", 2, "nobody")
         report = verify(world, forged)
         assert "PKI" in report.requirement_codes()
+
+
+class TestStoreForgery:
+    def test_zeroed_tail_checksum_fails_verification(self):
+        from repro.core.verifier import Verifier
+        from repro.workloads import signed_world
+
+        db, _ = signed_world(2, 2, key_bits=512, seed=3)
+        store = db.provenance_store
+        forged = tampering.forge_stored_checksum(store, "obj1")
+        assert store.latest("obj1") == forged
+        assert set(forged.checksum) == {0}
+        report = Verifier(db.keystore()).verify_records(list(store.all_records()))
+        assert {f.object_id for f in report.failures} == {"obj1"}
+
+    def test_reaches_through_a_sharded_store(self):
+        from repro.provenance.registry import ShardedProvenanceStore
+        from repro.provenance.store import InMemoryProvenanceStore
+        from repro.workloads import signed_world
+
+        store = ShardedProvenanceStore([InMemoryProvenanceStore() for _ in range(3)])
+        source, _ = signed_world(4, 1, key_bits=512, seed=3)
+        store.append_many(list(source.provenance_store.all_records()))
+        forged = tampering.forge_stored_checksum(store, "obj2")
+        assert store.latest("obj2") == forged

@@ -50,3 +50,30 @@ class TestExperimentResult:
         assert "figX: A Title" in text
         assert "col1" in text and "v1" in text
         assert "note: a note" in text
+
+    def test_guard_notes_and_verdict(self):
+        from repro.bench.experiments import ExperimentResult
+
+        result = ExperimentResult("figX", "A Title", ("col1",))
+        assert result.guard(True, "fast enough") is True
+        assert result.guards_ok
+        assert result.guard(False, "too slow") is False
+        assert not result.guards_ok
+        assert result.notes == ["GUARD OK: fast enough", "GUARD FAILED: too slow"]
+
+
+def test_importing_reporting_loads_no_experiments_or_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys, repro.bench.reporting; "
+        "print('scipy' in sys.modules, 'repro.bench.experiments' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)}, check=True,
+    )
+    assert completed.stdout.split() == ["False", "False"]

@@ -14,6 +14,9 @@ class TestTimingResult:
         assert math.isclose(result.mean, 0.2)
         assert result.runs == 3
 
+    def test_best_is_the_fastest_run(self):
+        assert TimingResult(samples=(0.3, 0.1, 0.2)).best == 0.1
+
     def test_single_run_has_zero_ci(self):
         assert TimingResult(samples=(0.5,)).ci95 == 0.0
 

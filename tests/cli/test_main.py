@@ -166,6 +166,33 @@ class TestCommands:
         assert run(lab, "verify", "x", "--anchors") == 1  # anchor catches it
         assert "R7" in capsys.readouterr().out
 
+    def test_witness_tick_feeds_the_workspace_anchor_log(
+        self, lab, capsys, monkeypatch, tmp_path
+    ):
+        """`trust witness-tick` and `trust audit` use the workspace log that
+        `anchor` and `verify --anchors` use: after a truncation both exit
+        1, and nothing is written outside the workspace."""
+        import sqlite3
+        from pathlib import Path
+
+        monkeypatch.chdir(tmp_path)
+        run(lab, "insert", "x", "1", "--as", "alice")
+        run(lab, "update", "x", "2", "--as", "bob")
+        assert run(lab, "trust", "witness-tick") == 0
+        assert "1 new anchor(s)" in capsys.readouterr().out
+        assert run(lab, "trust", "audit") == 0
+        conn = sqlite3.connect(f"{lab}/provenance.db")
+        conn.execute("DELETE FROM provenance WHERE object_id = 'x' AND seq_id = 1")
+        conn.commit()
+        conn.close()
+        capsys.readouterr()
+        assert run(lab, "verify", "x", "--anchors") == 1
+        assert "R7" in capsys.readouterr().out
+        assert run(lab, "trust", "audit", "--json") == 1
+        audit = json.loads(capsys.readouterr().out)
+        assert audit["entries"] == 1 and audit["mismatches"][0][:2] == ["x", 1]
+        assert sorted(p.name for p in Path(tmp_path).iterdir()) == ["lab"]
+
     def test_dot_export(self, lab, capsys, tmp_path):
         run(lab, "insert", "x", "1", "--as", "alice")
         run(lab, "update", "x", "2", "--as", "bob", "--note", "fixup")
@@ -392,6 +419,11 @@ class TestDashAndAlerts:
         assert main(["dash", "--url", "http://127.0.0.1:9",
                      "--token", "x", "--once"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_client_unreachable_server_fails(self, capsys):
+        assert main(["client", "--url", "http://127.0.0.1:9",
+                     "objects"]) == 1
+        assert capsys.readouterr().err.startswith("error: http://127.0.0.1:9: ")
 
     def test_alerts_tail_empty_stream_exits_zero(self, live, capsys):
         server, admin, _ = live

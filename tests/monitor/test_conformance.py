@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.cli.main import _monitor_tamper
+from repro.attacks.tampering import forge_stored_checksum
 from repro.core.system import TamperEvidentDatabase
 from repro.core.verifier import ParallelVerifier, Verifier
 from repro.exceptions import CrashError
@@ -128,7 +128,7 @@ class TestTornBatchConformance:
         assert monitor.accumulated_tally() == full.failure_tally()
 
         # Now actual tampering: forge a tail checksum in the raw store.
-        _monitor_tamper(inner, "R1")
+        forge_stored_checksum(inner, inner.object_ids()[0])
         tampered = monitor.tick()
         assert tampered.health == "tampered"
         assert monitor.has_tamper_alerts
@@ -169,7 +169,7 @@ class TestTornBatchConformance:
                 monitor.tick()
                 RecoveryScanner(store).recover()
                 monitor.tick()
-                _monitor_tamper(inner, "R1")
+                forge_stored_checksum(inner, inner.object_ids()[0])
                 monitor.tick()
                 events = [
                     {k: v for k, v in e.items() if k != "ts"}

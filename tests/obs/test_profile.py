@@ -78,14 +78,18 @@ class TestPhaseProfiler:
         assert snap["store.io"]["calls"] == 10
         assert snap["store.io"]["timed_calls"] == 3  # calls 1, 5, 9
 
-    def test_sampling_scales_timed_seconds(self):
+    def test_sampling_scales_timed_seconds(self, monkeypatch):
+        # A fake clock: each phase reads it on entry and on exit.
+        # Durations are powers of two, so the arithmetic is exact.
+        readings = iter([0.0, 0.25, 1.0, 1.5, 2.0, 2.125, 3.0, 3.0625])
+        monkeypatch.setattr("repro.obs.profile.perf_counter", lambda: next(readings))
         prof = PhaseProfiler(sample_every=2)
         for _ in range(4):
             with prof.phase("journal"):
-                time.sleep(0.005)
+                pass
         sampled = prof.snapshot()["journal"]["total_s"]
-        # 2 timed calls of ~5ms, scaled x2 ≈ the true ~20ms total.
-        assert sampled == pytest.approx(0.02, rel=0.5)
+        # Calls 1 and 3 are timed (0.25 s and 0.125 s), each scaled x2.
+        assert sampled == 2 * (0.25 + 0.125)
 
     def test_dump_merge_roundtrip(self):
         a = PhaseProfiler()
