@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="verify an object (notarizes a VERIFY audit record)"
     )
     cp.add_argument("object_id")
-    cp.add_argument("--workers", type=int, default=None)
 
     cp = client_sub.add_parser("objects", help="list the tenant's objects")
 
@@ -1202,18 +1201,21 @@ def _cmd_serve(args) -> int:
 
 def _with_service(args, body, error_code: int = 1, **options) -> int:
     """Run ``body(client)`` against ``--url`` with ``--token`` (default
-    ``$REPRO_API_KEY``).  A refused request or an unreachable server
-    prints ``error: ...`` and exits ``error_code``."""
+    ``$REPRO_API_KEY``).  A refused request, an unreachable server or a
+    reply that is not HTTP prints ``error: ...`` and exits
+    ``error_code``."""
     import os
+    from http.client import HTTPException
 
     from repro.service.client import ServiceClient, ServiceHTTPError
 
     token = args.token or os.environ.get("REPRO_API_KEY")
     try:
-        return body(ServiceClient(args.url, token=token, **options))
+        with ServiceClient(args.url, token=token, **options) as client:
+            return body(client)
     except ServiceHTTPError as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except OSError as exc:
+    except (OSError, HTTPException) as exc:
         print(f"error: {args.url}: {exc}", file=sys.stderr)
     return error_code
 
@@ -1248,7 +1250,7 @@ def _client_call(args, client) -> int:
     elif command == "aggregate":
         result = client.aggregate(args.inputs, args.output_id, note=args.note)
     elif command == "verify":
-        result = client.verify(args.object_id, workers=args.workers)
+        result = client.verify(args.object_id)
     elif command == "objects":
         result = client.objects()
     elif command == "provenance":

@@ -10,6 +10,15 @@ invisible to callers as long as they are actually transient.
 Only 503 is retried.  4xx responses are caller errors and a 500 is a
 (simulated) crash whose repair is recovery at restart, not a retry loop.
 
+Connections are kept alive and reused: each client holds a few idle
+``http.client`` connections, checks one for a server-side close before
+reusing it, and pools it again only if the reply did not say
+``Connection: close``.  A request is sent a second time only when its
+send on a reused connection failed — the server never saw it.  Once it
+was sent, a lost reply is raised, never resent, so a write is never
+applied twice.  :meth:`ServiceClient.close` (or a ``with`` block) closes
+the idle connections.
+
 Observability crosses the wire in both directions.  When this process
 has tracing on and a span open, every request carries a ``traceparent``
 header (so the server's ``http.request`` span joins the caller's trace)
@@ -24,12 +33,14 @@ server's event log.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from repro import obs
 from repro.exceptions import ServiceError
@@ -89,7 +100,13 @@ class ServiceClient:
         retries: 503 retry budget per request.
         retry_cap: Upper bound on one ``Retry-After`` sleep, seconds.
         timeout: Socket timeout per request, seconds.
+
+    Safe to share between threads: each request in flight has its own
+    connection, and at most :attr:`MAX_IDLE` wait to be reused.
     """
+
+    #: Idle connections kept for reuse; any more are closed after use.
+    MAX_IDLE = 4
 
     def __init__(
         self,
@@ -104,6 +121,30 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.retry_cap = retry_cap
         self.timeout = timeout
+        split = urlsplit(self.base_url)
+        if split.scheme not in ("http", "https"):
+            raise ValueError(f"service URL must be http(s)://..., got {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if split.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # transport
@@ -171,23 +212,56 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        target = self._prefix + path
+        conn, reused = self._checkout()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return ServiceResponse(
-                    status=reply.status,
-                    raw=reply.read(),
-                    headers={k: v for k, v in reply.headers.items()},
-                )
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            return ServiceResponse(
-                status=exc.code,
-                raw=raw,
-                headers={k: v for k, v in exc.headers.items()},
-            )
+            try:
+                conn.request(method, target, body=data, headers=headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed this idle connection before the
+                # request went out, so it never saw the request: one
+                # more send, on a fresh connection, cannot apply it twice.
+                conn.close()
+                conn = self._connect()
+                conn.request(method, target, body=data, headers=headers)
+            reply = conn.getresponse()
+            raw = reply.read()
+        except BaseException:
+            conn.close()
+            raise
+        if reply.will_close:
+            conn.close()
+        else:
+            self._checkin(conn)
+        return ServiceResponse(
+            status=reply.status,
+            raw=raw,
+            headers={k: v for k, v in reply.headers.items()},
+        )
+
+    def _checkout(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """An idle connection the server has not closed, else a new one;
+        and whether it was reused."""
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connect(), False
+            if not _readable(conn.sock):
+                return conn, True
+            conn.close()  # the server's close (EOF) or stray bytes
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < self.MAX_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def _retry_delay(self, response: ServiceResponse, attempt: int) -> float:
         header = response.headers.get("Retry-After")
@@ -237,17 +311,12 @@ class ServiceClient:
     def batch(self, ops: Sequence[Dict[str, object]], note: str = "") -> Dict[str, object]:
         return self.request("POST", "/v1/batch", {"ops": list(ops), "note": note}).json
 
-    def verify(self, object_id: str, workers: Optional[int] = None) -> Dict[str, object]:
-        return self.verify_response(object_id, workers=workers).json
+    def verify(self, object_id: str) -> Dict[str, object]:
+        return self.verify_response(object_id).json
 
-    def verify_response(
-        self, object_id: str, workers: Optional[int] = None
-    ) -> ServiceResponse:
+    def verify_response(self, object_id: str) -> ServiceResponse:
         """The raw verify exchange (byte-identity tests compare ``.raw``)."""
-        body: Dict[str, object] = {"object_id": object_id}
-        if workers is not None:
-            body["workers"] = workers
-        return self.request("POST", "/v1/verify", body)
+        return self.request("POST", "/v1/verify", {"object_id": object_id})
 
     def objects(self) -> Dict[str, object]:
         return self.request("GET", "/v1/objects").json
@@ -322,3 +391,11 @@ class ServiceClient:
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.base_url!r}, authed={self.token is not None})"
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has input waiting: never a reply, so the
+    server's close or bytes that would desynchronise the next one."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))

@@ -86,7 +86,8 @@ class ServiceConfig:
     shards: int = 4
     #: Directory for SQLite shard files; None keeps every store in memory.
     store_root: Optional[str] = None
-    #: Verification workers for monitor cold/full passes (1 = serial).
+    #: Verification workers for monitor cold/full passes and served
+    #: verifies (1 = serial).
     workers: int = 1
     #: Collector retry budget for transient store errors.
     store_retries: int = 2
@@ -377,10 +378,13 @@ class ProvenanceService:
             return (world.session.aggregate(list(inputs), object_id, note=note),)
         raise ServiceError(f"unknown operation {op!r}")
 
-    def verify(
-        self, tenant_id: str, object_id: str, workers: Optional[int] = None
-    ) -> Dict[str, object]:
+    def verify(self, tenant_id: str, object_id: str) -> Dict[str, object]:
         """Verify one object as a recipient would; notarize the act.
+
+        The fan-out is the service's own ``ServiceConfig.workers``, never
+        the caller's: a verify runs under the tenant's world lock, and a
+        caller choosing how many processes it forks could stall the
+        tenant at will.
 
         The response carries only deterministic report fields (no audit
         sequence numbers, no timings): under concurrent load the audit
@@ -394,7 +398,9 @@ class ProvenanceService:
                 raise UnknownObjectError(
                     f"tenant {tenant_id!r} has no object {object_id!r}"
                 )
-            report = world.db.ship(object_id).verify(world.keystore, workers=workers)
+            report = world.db.ship(object_id).verify(
+                world.keystore, workers=self.config.workers
+            )
             self._append_audit(world, object_id, report)
         if OBS.enabled:
             OBS.registry.counter(

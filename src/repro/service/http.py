@@ -55,6 +55,11 @@ Status mapping (the chaos suite pins this down):
   admin scope
 - 404 unknown object; 400 malformed request or a caller error from the
   core (:class:`ReproError`)
+- a body the server will not read is answered and its connection
+  closed, since the next request's start is lost with it: 400 for a
+  malformed or repeated ``Content-Length`` or a body cut short, 408 for
+  a body stalled past ``_RequestHandler.timeout``, 411 for a
+  ``Transfer-Encoding`` body, 413 above ``_RequestHandler.MAX_BODY``
 - 503 + ``Retry-After`` for *transient* store trouble (the same
   ``TRANSIENT_STORE_ERRORS`` set the collector retries); the request is
   safe to retry — faults fire before any store write
@@ -78,11 +83,12 @@ trace tree.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter, sleep
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
@@ -106,11 +112,35 @@ __all__ = ["ProvenanceHTTPServer", "serve", "DEFAULT_RETRY_AFTER"]
 DEFAULT_RETRY_AFTER = 0.05
 
 
+class _Unreadable(Exception):
+    """A request body the server will not read: answered, then closed."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes one HTTP request into the service core."""
+    """Routes one HTTP request into the service core.
+
+    A connection stays open across requests (HTTP/1.1 keep-alive) until
+    the client closes it, sits idle for :attr:`timeout` seconds, or a
+    reply says ``Connection: close``.
+    """
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-provenance"
+    #: A reply goes out as two sends (headers, then body).  With Nagle on,
+    #: the second waits for the client's delayed ACK of the first — about
+    #: 40 ms per reply on a reused connection.
+    disable_nagle_algorithm = True
+    #: Socket timeout, seconds: an idle kept-alive connection, or a
+    #: request stalled mid-body, is closed after this long, so clients
+    #: cannot pin handler threads.
+    timeout = 10.0
+    #: Largest request body the server reads.  A longer declared body is
+    #: answered 413 without being read, and the connection closed.
+    MAX_BODY = 1 << 20
 
     # BaseHTTPRequestHandler logs to stderr by default; the service
     # narrates on the structured event log instead.
@@ -171,7 +201,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
         ) as request_span, scope:
             corr = _current_correlation()
             try:
+                # Read the whole body before anything can answer: a reply
+                # sent with the body unread would leave it on the
+                # connection, to be parsed as the next request.
+                self._raw_body = self._read_body()
                 status, payload, headers = self._route(method, route, query)
+            except _Unreadable as exc:
+                status, payload = exc.status, {"error": str(exc)}
+                headers = {"Connection": "close"}
             except (AuthError, ForbiddenError) as exc:
                 status, payload, headers = self._auth_failure(exc)
             except UnknownObjectError as exc:
@@ -272,12 +309,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             ), {}
         if route == "/v1/verify" and method == "POST":
             body = self._body()
-            workers = body.get("workers")
-            return 200, service.verify(
-                tenant,
-                str(body["object_id"]),
-                workers=None if workers is None else int(workers),
-            ), {}
+            return 200, service.verify(tenant, str(body["object_id"])), {}
         if route == "/v1/objects" and method == "GET":
             return 200, service.objects(tenant), {}
         if route.startswith("/v1/provenance/") and method == "GET":
@@ -397,9 +429,32 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raise AuthError("Authorization header is not a Bearer token")
         return self.headers.get("X-Api-Key")
 
+    def _read_body(self) -> bytes:
+        """This request's body; raises :class:`_Unreadable` for one that
+        cannot be read without losing the request boundary."""
+        if self.headers.get("Transfer-Encoding") is not None:
+            raise _Unreadable(411, "send the body with a Content-Length")
+        declared = self.headers.get_all("Content-Length") or []
+        if not declared:
+            return b""
+        value = declared[0].strip()
+        if len(declared) > 1 or not (value.isascii() and value.isdigit()):
+            raise _Unreadable(400, f"malformed Content-Length {declared!r}")
+        length = int(value)
+        if length > self.MAX_BODY:
+            raise _Unreadable(
+                413, f"request body of {length} bytes exceeds {self.MAX_BODY}"
+            )
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _Unreadable(408, "request body timed out") from None
+        if len(raw) < length:
+            raise _Unreadable(400, f"request body ended at {len(raw)} of {length} bytes")
+        return raw
+
     def _body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._raw_body
         if not raw:
             raise ServiceError("request body is required")
         try:
@@ -438,7 +493,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+            self.close_connection = True
 
 
 def _strip(exc: BaseException) -> str:
@@ -478,7 +533,32 @@ class ProvenanceHTTPServer(ThreadingHTTPServer):
         )
         self.retry_after = retry_after
         self._thread: Optional[threading.Thread] = None
+        #: Accepted connections not yet closed by their handler.
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__((host, port), _RequestHandler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every kept-alive connection, so no
+        client reaches the service through one after it is closed."""
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for request in still_open:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it meanwhile
+                pass
 
     @property
     def base_url(self) -> str:

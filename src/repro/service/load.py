@@ -180,6 +180,8 @@ def run_load(
             with lock:
                 report.errors.append(f"client {index} ({tenant}): {exc}")
             return ClientOutcome(index, tenant, ops, False, retries, error=str(exc))
+        finally:
+            client.close()
 
     began = time.perf_counter()
     with ThreadPoolExecutor(max_workers=spec.threads) as pool:

@@ -425,6 +425,39 @@ class TestDashAndAlerts:
                      "objects"]) == 1
         assert capsys.readouterr().err.startswith("error: http://127.0.0.1:9: ")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["client", "--url", "{url}", "objects"], 1),
+        (["dash", "--url", "{url}", "--token", "x", "--once"], 1),
+        (["alerts", "tail", "--url", "{url}", "--token", "x"], 2),
+    ], ids=("client", "dash", "alerts"))
+    def test_non_http_server_fails_without_a_traceback(self, argv, code, capsys):
+        """A port that answers with something other than HTTP (here an
+        SSH banner) is an error line and an exit code, like an
+        unreachable one."""
+        import socket
+        import threading
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+        def banner():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(b"SSH-2.0-OpenSSH_9.0\r\n")
+                conn.settimeout(5)
+                while conn.recv(4096):  # like sshd: wait for the peer
+                    pass
+
+        thread = threading.Thread(target=banner, daemon=True)
+        thread.start()
+        try:
+            assert main([a.format(url=url) for a in argv]) == code
+        finally:
+            listener.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert capsys.readouterr().err.startswith(f"error: {url}: ")
+
     def test_alerts_tail_empty_stream_exits_zero(self, live, capsys):
         server, admin, _ = live
         assert main(["alerts", "tail", "--url", server.base_url,

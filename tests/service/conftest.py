@@ -47,7 +47,8 @@ def server(server_factory):
 
 @pytest.fixture
 def admin(server) -> ServiceClient:
-    return ServiceClient(server.base_url, token=server.service.admin_token)
+    with ServiceClient(server.base_url, token=server.service.admin_token) as client:
+        yield client
 
 
 @pytest.fixture
@@ -61,4 +62,6 @@ def tenant_client(server, admin):
             cache[tenant] = ServiceClient(server.base_url, token=token)
         return cache[tenant]
 
-    return client_for
+    yield client_for
+    for client in cache.values():
+        client.close()

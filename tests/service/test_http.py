@@ -99,6 +99,28 @@ class TestRouting:
         )
         assert response.status == 400
 
+    def test_verify_fan_out_is_the_servers_not_the_callers(
+        self, tenant_client, monkeypatch
+    ):
+        """A request's ``workers`` is ignored: it forks nothing and the
+        answer is byte-identical to a verify without it."""
+        import repro.core.verifier
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served verify forked a worker pool")
+
+        monkeypatch.setattr(repro.core.verifier, "ParallelVerifier", refuse)
+        c = tenant_client("acme")
+        c.insert("a", 1)
+        c.insert("b", 2)
+        c.aggregate(["a", "b"], "agg")
+        plain = c.verify_response("agg").raw
+        asked = c.request(
+            "POST", "/v1/verify", {"object_id": "agg", "workers": 64}
+        ).raw
+        assert asked == plain
+        assert json.loads(plain)["ok"] is True
+
     def test_responses_are_canonical_json(self, tenant_client):
         c = tenant_client("acme")
         c.insert("doc", 1)
