@@ -4,7 +4,8 @@
 records: it assigns sequence ids (§2.1's rules), propagates *inherited*
 records to every surviving ancestor of a modified object (§4.2), builds
 the checksum payloads of §3/§4.3, obtains the acting participant's
-signature, and appends the records to the provenance store.
+signatures (a flush's independent records in one call), and appends the
+records to the provenance store.
 
 Chains are local per object (§3.2): each record's predecessor checksum is
 looked up from that object's latest record only, so independent objects
@@ -44,6 +45,16 @@ __all__ = ["ChecksumCollector"]
 #: momentary disk-I/O trouble).  Everything else — including a simulated
 #: :class:`~repro.exceptions.CrashError` — propagates immediately.
 TRANSIENT_STORE_ERRORS = (TransientStoreError, sqlite3.OperationalError)
+
+
+class _Unsigned:
+    """The checksum of a staged record until its flush signs it."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        #: The record's position in staging order.
+        self.index = index
 
 
 class ChecksumCollector:
@@ -92,10 +103,11 @@ class ChecksumCollector:
         self.store_retries = max(0, int(store_retries))
         self.retry_backoff = retry_backoff
         self.faults = faults
-        # Two-phase staging: records are signed into the staging area and
-        # appended to the store only after the whole batch succeeded, so a
-        # failure mid-batch persists nothing.  Thread-local, so sessions
-        # on different threads never interleave their batches.
+        # Two-phase staging: records are staged unsigned, signed together
+        # at the flush, and appended to the store only after the whole
+        # batch succeeded, so a failure mid-batch persists nothing.
+        # Thread-local, so sessions on different threads never interleave
+        # their batches.
         self._staging = threading.local()
 
     def __deepcopy__(self, memo):
@@ -113,7 +125,8 @@ class ChecksumCollector:
         return clone
 
     @property
-    def _staged(self) -> List[ProvenanceRecord]:
+    def _staged(self) -> List[Tuple[ProvenanceRecord, Tuple[object, ...]]]:
+        """Staged ``(unsigned record, predecessor checksums)``, in order."""
         if not hasattr(self._staging, "records"):
             self._staging.records = []
         return self._staging.records
@@ -216,12 +229,12 @@ class ChecksumCollector:
                     participant, object_id, 0, Operation.INSERT, (), output,
                     inherited=False, note=note,
                 )
-                return self._sign_and_store(participant, record, ())
+                return self._stage(record, ())
             record = self._build(
                 participant, object_id, latest.seq_id + 1, Operation.INSERT,
                 (), output, inherited=False, note=note,
             )
-            return self._sign_and_store(participant, record, (latest.checksum,))
+            return self._stage(record, (latest.checksum,))
 
         if latest is None:
             latest = self._bootstrap(participant, object_id, before, ctx)
@@ -237,7 +250,7 @@ class ChecksumCollector:
             participant, object_id, latest.seq_id + 1, operation,
             (input_state,), output, inherited=not direct, note=note,
         )
-        return self._sign_and_store(participant, record, (latest.checksum,))
+        return self._stage(record, (latest.checksum,))
 
     # ------------------------------------------------------------------
     # aggregation
@@ -322,7 +335,7 @@ class ChecksumCollector:
             participant, event.object_id, max_seq + 1, Operation.AGGREGATE,
             tuple(resolved_inputs), output, inherited=False, note=note,
         )
-        self._sign_and_store(participant, record, prev_checksums)
+        self._stage(record, prev_checksums)
         return self._flush_staging()[-1]
 
     # ------------------------------------------------------------------
@@ -387,17 +400,55 @@ class ChecksumCollector:
             note=note,
         )
 
-    def _sign_and_store(
-        self,
-        participant: Participant,
-        record: ProvenanceRecord,
-        prev_checksums: Tuple[bytes, ...],
+    def _stage(
+        self, record: ProvenanceRecord, prev_checksums: Tuple[bytes, ...]
     ) -> ProvenanceRecord:
-        payload = payloads.record_payload(record, prev_checksums)
-        signed = record.with_checksum(participant.sign(payload))
-        self._staged.append(signed)
-        self._staged_latest[signed.object_id] = signed
-        return signed
+        """Stage ``record`` unsigned; the flush signs it (:meth:`_sign_staged`).
+
+        Until then its checksum is an :class:`_Unsigned` marker, which a
+        successor staged in the same flush carries among its
+        ``prev_checksums``.
+        """
+        staged = record.with_checksum(_Unsigned(len(self._staged)))
+        self._staged.append((staged, prev_checksums))
+        self._staged_latest[staged.object_id] = staged
+        return staged
+
+    def _sign_staged(self) -> Tuple[ProvenanceRecord, ...]:
+        """Sign the staged records, in staging order.
+
+        Each run of consecutive records whose predecessors are all
+        signed goes to the participant in one ``sign_many`` call, which a
+        signer pool spreads over its helpers.  A record that chains on a
+        checksum of the current run (an update after its bootstrap
+        genesis, an aggregate over bootstrapped inputs) starts the next
+        run, so it waits for that signature.
+        """
+        participant = self._staging.participant
+        staged = self._staged
+        signed: List[ProvenanceRecord] = []
+        while len(signed) < len(staged):
+            start = len(signed)
+            end = start + 1
+            while end < len(staged) and not any(
+                isinstance(prev, _Unsigned) and prev.index >= start
+                for prev in staged[end][1]
+            ):
+                end += 1
+            run = staged[start:end]
+            messages = []
+            for record, prevs in run:
+                resolved = tuple(
+                    signed[prev.index].checksum if isinstance(prev, _Unsigned) else prev
+                    for prev in prevs
+                )
+                messages.append(payloads.record_payload(record, resolved))
+            checksums = participant.sign_many(messages)
+            signed.extend(
+                record.with_checksum(checksum)
+                for (record, _), checksum in zip(run, checksums)
+            )
+        return tuple(signed)
 
     def _latest(self, object_id: str):
         """Latest record for an object, staged records included."""
@@ -421,15 +472,16 @@ class ChecksumCollector:
         if abort is not None:
             abort()
 
-    def _seal_staged(self) -> Tuple[ProvenanceRecord, ...]:
-        """Close the batch-signature envelope over the staged records.
+    def _seal_staged(
+        self, records: Tuple[ProvenanceRecord, ...]
+    ) -> Tuple[ProvenanceRecord, ...]:
+        """Close the batch-signature envelope over the signed records.
 
         Per-record schemes are a no-op.  A batch scheme (duck-typed on
         ``seal_batch``) signed every staged record's payload into a
         pending leaf in staging order, so its proofs zip positionally
-        onto the staged records.
+        onto the records.
         """
-        records = tuple(self._staged)
         participant = getattr(self._staging, "participant", None)
         seal = getattr(getattr(participant, "scheme", None), "seal_batch", None)
         if seal is None or not records:
@@ -449,8 +501,9 @@ class ChecksumCollector:
         # for a served request, the handler's http.request span, itself
         # parented on the client's traceparent context — so the
         # collector leg shows up in the distributed trace tree.
-        with obs.phase("collector.flush", staged=len(self._staged)):
-            records = self._seal_staged()
+        records = self._sign_staged()
+        with obs.phase("collector.flush", staged=len(records)):
+            records = self._seal_staged(records)
             if OBS.enabled:
                 reg = OBS.registry
                 reg.counter("collector.records.flushed").inc(len(records))
@@ -551,4 +604,4 @@ class ChecksumCollector:
         record = self._build(
             participant, object_id, 0, Operation.INSERT, (), output, inherited=False
         )
-        return self._sign_and_store(participant, record, ())
+        return self._stage(record, ())

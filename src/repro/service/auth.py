@@ -111,6 +111,11 @@ class ApiKeyAuthority:
             previous state intact.
     """
 
+    #: Validated tokens whose claims :meth:`validate` remembers, so a
+    #: repeated bearer token skips the decode, RSA verify and JSON parse.
+    #: The oldest entry is evicted first.
+    MAX_CACHED_TOKENS = 1024
+
     def __init__(
         self,
         ca: CertificateAuthority,
@@ -125,6 +130,8 @@ class ApiKeyAuthority:
         #: key id -> claims for every issued key (introspection surface).
         self._issued: Dict[str, ApiKeyClaims] = {}
         self._revoked: set = set()
+        #: exact token string -> claims, for tokens whose signature verified.
+        self._validated: Dict[str, ApiKeyClaims] = {}
         if state_path is not None:
             self._load_state(state_path)
 
@@ -216,12 +223,32 @@ class ApiKeyAuthority:
     def validate(self, token: Optional[str]) -> ApiKeyClaims:
         """Validate a bearer token; returns its claims.
 
+        A token's signature is checked once; its claims are then cached
+        by the exact token string (at most :attr:`MAX_CACHED_TOKENS`).
+        Expiry and revocation are checked on every call.
+
         Raises:
             AuthError: Missing, malformed, forged, or expired (→ 401).
             ForbiddenError: Revoked (→ 403; revocation fails closed).
         """
         if not token:
             raise AuthError("missing API key")
+        claims = self._validated.get(token)
+        if claims is None:
+            claims = self._verified_claims(token)
+            with self._lock:
+                if len(self._validated) >= self.MAX_CACHED_TOKENS:
+                    del self._validated[next(iter(self._validated))]
+                self._validated[token] = claims
+        if claims.expires is not None and self.clock() >= claims.expires:
+            raise AuthError(f"API key {claims.key_id} has expired")
+        with self._lock:
+            if claims.key_id in self._revoked:
+                raise ForbiddenError(f"API key {claims.key_id} is revoked")
+        return claims
+
+    def _verified_claims(self, token: str) -> ApiKeyClaims:
+        """Decode ``token`` and check its signature; raises AuthError."""
         parts = token.split(".")
         if len(parts) != 3 or parts[0] != TOKEN_PREFIX:
             raise AuthError("malformed API key")
@@ -236,13 +263,7 @@ class ApiKeyAuthority:
             data = json.loads(payload.decode("utf-8"))
         except ValueError as exc:
             raise AuthError(f"malformed API key payload: {exc}") from exc
-        claims = ApiKeyClaims.from_dict(data)
-        if claims.expires is not None and self.clock() >= claims.expires:
-            raise AuthError(f"API key {claims.key_id} has expired")
-        with self._lock:
-            if claims.key_id in self._revoked:
-                raise ForbiddenError(f"API key {claims.key_id} is revoked")
-        return claims
+        return ApiKeyClaims.from_dict(data)
 
     @staticmethod
     def decode_claims(token: str) -> ApiKeyClaims:

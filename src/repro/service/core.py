@@ -43,11 +43,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.system import ParticipantSession, TamperEvidentDatabase
 from repro.crypto.pki import CertificateAuthority, KeyStore, resolve_scheme_name
+from repro.crypto.signatures import RSASignatureScheme
 from repro.exceptions import ReproError, ServiceError, UnknownObjectError
 from repro.obs import OBS
 from repro.provenance.registry import open_tenant_store
 from repro.query.lineage import lineage_summary
 from repro.service.auth import ApiKeyAuthority
+from repro.service.signers import PooledRSASignatureScheme, SignerPool
 
 if TYPE_CHECKING:  # pragma: no cover — service stays import-light
     from repro.faults.plan import FaultPlan
@@ -128,7 +130,12 @@ class TenantWorld:
     parallel.
     """
 
-    def __init__(self, tenant_id: str, config: ServiceConfig):
+    def __init__(
+        self,
+        tenant_id: str,
+        config: ServiceConfig,
+        signers: Optional[SignerPool] = None,
+    ):
         self.tenant_id = tenant_id
         self.config = config
         self.lock = threading.RLock()
@@ -154,6 +161,15 @@ class TenantWorld:
         if config.faults is not None:
             self.db.collector.faults = config.faults
         self.participant = self.db.enroll(f"svc:{tenant_id}")
+        if signers is not None and isinstance(
+            self.participant.scheme, RSASignatureScheme
+        ):
+            # Per-record RSA signs in the service's helper processes; a
+            # Merkle-batch root seal is one signature a flush and stays
+            # in-process.
+            self.participant.scheme = PooledRSASignatureScheme(
+                self.participant.scheme, signers
+            )
         self.session: ParticipantSession = self.db.session(self.participant)
         #: Trust store cached once — enrollment happens only here, so the
         #: certificate set is final and verify calls skip re-validating
@@ -258,6 +274,9 @@ class ProvenanceService:
             state_path=auth_state,
         )
         self.admin_token = self.authority.issue_admin()
+        #: Helper processes for the tenants' per-record RSA signatures
+        #: (one per usable CPU, started on first use); None on one CPU.
+        self.signers = SignerPool.for_host()
         self.background = None
         if config.monitor_interval > 0:
             from repro.service.background import BackgroundMonitor
@@ -283,7 +302,7 @@ class ProvenanceService:
         with self._worlds_lock:
             world = self._worlds.get(tenant_id)
             if world is None:
-                world = TenantWorld(tenant_id, self.config)
+                world = TenantWorld(tenant_id, self.config, self.signers)
                 self._worlds[tenant_id] = world
                 if OBS.enabled:
                     OBS.registry.gauge("service.tenants").set(len(self._worlds))
@@ -567,6 +586,8 @@ class ProvenanceService:
             self.background.stop()
         for tenant_id in self.tenant_ids():
             self._worlds[tenant_id].close()
+        if self.signers is not None:
+            self.signers.close()
 
     def __repr__(self) -> str:
         return (
