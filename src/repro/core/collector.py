@@ -8,16 +8,36 @@ signatures (a flush's independent records in one call), and appends the
 records to the provenance store.
 
 Chains are local per object (§3.2): each record's predecessor checksum is
-looked up from that object's latest record only, so independent objects
+looked up from that object's chain tail only, so independent objects
 never contend.
+
+A write happens in two steps.  *Staging* assigns sequence ids and builds
+each record unsigned, chained on its object's committed tail or on a
+record staged earlier and not yet committed; it must be serialized with
+the engine operations it records.  *Committing* signs the staged
+records, seals a Merkle-batch envelope over them, and appends them in one
+store batch.  The library commits each write as soon as it is staged.
+The service defers commits (:meth:`ChecksumCollector.deferring`) so that
+signing runs outside its tenant's lock and one commit can carry the
+writes of several requests (:mod:`repro.service.core`).
 """
 
 from __future__ import annotations
 
 import sqlite3
-import threading
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (
+    TYPE_CHECKING,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.backend.events import AggregateEvent, OperationEvent, UpdateEvent
@@ -33,12 +53,12 @@ from repro.exceptions import (
 from repro.model.ordering import ordering_key
 from repro.obs import OBS
 from repro.provenance.records import ObjectState, Operation, ProvenanceRecord
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ChainTail, ProvenanceStore
 
 if TYPE_CHECKING:  # pragma: no cover — core stays import-decoupled from faults
     from repro.faults.plan import FaultPlan
 
-__all__ = ["ChecksumCollector"]
+__all__ = ["ChecksumCollector", "StagedWrite"]
 
 #: Store failures the collector may absorb with bounded retry: our own
 #: transient marker plus SQLite's operational errors (locked database,
@@ -48,13 +68,40 @@ TRANSIENT_STORE_ERRORS = (TransientStoreError, sqlite3.OperationalError)
 
 
 class _Unsigned:
-    """The checksum of a staged record until its flush signs it."""
+    """The checksum of a staged record until a commit signs it.
 
-    __slots__ = ("index",)
+    Records staged after it, in the same write or a later one, carry the
+    marker among their predecessor checksums.  The commit that signs the
+    record sets :attr:`value`, which is what they are then signed over.
+    """
 
-    def __init__(self, index: int):
-        #: The record's position in staging order.
-        self.index = index
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: Optional[bytes] = None
+
+
+class StagedWrite:
+    """One flush's records, staged and not yet committed.
+
+    Until :meth:`ChecksumCollector.commit` signs them, each record's
+    checksum is an ``_Unsigned`` marker.  ``events`` are the engine
+    events the write records, which a rollback reverts
+    (:meth:`repro.core.system.TamperEvidentDatabase.rollback`).
+    """
+
+    __slots__ = ("participant", "events", "staged", "records")
+
+    def __init__(self, participant: Participant, events: Sequence[OperationEvent]):
+        self.participant = participant
+        self.events: Tuple[OperationEvent, ...] = tuple(events)
+        #: ``(unsigned record, predecessor checksums or markers)``, in order.
+        self.staged: List[Tuple[ProvenanceRecord, Tuple[object, ...]]] = []
+        #: The signed (and sealed) records, once committed.
+        self.records: Tuple[ProvenanceRecord, ...] = ()
+
+    def unsigned(self) -> Tuple[ProvenanceRecord, ...]:
+        return tuple(record for record, _ in self.staged)
 
 
 class ChecksumCollector:
@@ -80,6 +127,10 @@ class ChecksumCollector:
             at the ``collector.flush`` site — between signing a staged
             batch and handing it to the store — so chaos tests can crash
             the collector at its most delicate moment.
+
+    Staging reads and writes shared state (the engine, the pending
+    tails), so callers serialize it: the service stages under its
+    tenant's world lock.
     """
 
     def __init__(
@@ -103,39 +154,29 @@ class ChecksumCollector:
         self.store_retries = max(0, int(store_retries))
         self.retry_backoff = retry_backoff
         self.faults = faults
-        # Two-phase staging: records are staged unsigned, signed together
-        # at the flush, and appended to the store only after the whole
-        # batch succeeded, so a failure mid-batch persists nothing.
-        # Thread-local, so sessions on different threads never interleave
-        # their batches.
-        self._staging = threading.local()
+        #: Chain tails of records staged and not yet committed, by object
+        #: id; their checksums are ``_Unsigned`` markers.  Staging chains
+        #: on these before the store's own tails.
+        self._pending: Dict[str, ChainTail] = {}
+        #: The writes staged inside :meth:`deferring`; None commits each
+        #: write as soon as it is staged.
+        self._deferred: Optional[List[StagedWrite]] = None
 
-    def __deepcopy__(self, memo):
-        # thread-locals cannot be deep-copied; a copy starts with empty
-        # staging (staging never outlives one collect call anyway).
-        import copy as _copy
+    @contextmanager
+    def deferring(self) -> Iterator[List[StagedWrite]]:
+        """Stage the block's writes without committing them.
 
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_staging":
-                setattr(clone, key, threading.local())
-            else:
-                setattr(clone, key, _copy.deepcopy(value, memo))
-        return clone
-
-    @property
-    def _staged(self) -> List[Tuple[ProvenanceRecord, Tuple[object, ...]]]:
-        """Staged ``(unsigned record, predecessor checksums)``, in order."""
-        if not hasattr(self._staging, "records"):
-            self._staging.records = []
-        return self._staging.records
-
-    @property
-    def _staged_latest(self) -> Dict[str, ProvenanceRecord]:
-        if not hasattr(self._staging, "latest"):
-            self._staging.latest = {}
-        return self._staging.latest
+        Yields the list each write staged inside the block is appended
+        to, in staging order.  Inside the block the collect methods
+        return the staged records, unsigned.  The caller then commits the
+        writes (:meth:`commit`) in staging order, or rolls them back
+        (:meth:`repro.core.system.TamperEvidentDatabase.rollback`).
+        """
+        outer, self._deferred = self._deferred, []
+        try:
+            yield self._deferred
+        finally:
+            self._deferred = outer
 
     def begin(self) -> OperationHashContext:
         """Open the before/after hash context for one operation."""
@@ -160,7 +201,8 @@ class ChecksumCollector:
         record is produced per *surviving* touched object plus one
         inherited record per surviving ancestor.
 
-        Returns the appended records.
+        Returns the committed records, or inside :meth:`deferring` the
+        staged ones, unsigned.
         """
         if any(isinstance(e, AggregateEvent) for e in events):
             raise ProvenanceError(
@@ -191,11 +233,11 @@ class ChecksumCollector:
                 kind="complex" if grouped else "primitive",
             ).inc()
 
-        self._begin_staging(participant)
+        write = StagedWrite(participant, events)
         try:
             for object_id in targets:
                 self._record_mutation(
-                    participant,
+                    write,
                     object_id,
                     ctx,
                     direct=object_id in touched,
@@ -203,14 +245,14 @@ class ChecksumCollector:
                     updates=updates_by_object.get(object_id, []),
                     note=note,
                 )
-            return self._flush_staging()
         except BaseException:
-            self._abort_staging()
+            self.abandon([write])
             raise
+        return self._finish(write)
 
     def _record_mutation(
         self,
-        participant: Participant,
+        write: StagedWrite,
         object_id: str,
         ctx: OperationHashContext,
         direct: bool,
@@ -218,6 +260,7 @@ class ChecksumCollector:
         updates: List[UpdateEvent],
         note: str = "",
     ) -> ProvenanceRecord:
+        participant = write.participant
         before = ctx.before_digest(object_id)
         latest = self._latest(object_id)
         output = self._output_state(object_id, ctx)
@@ -229,16 +272,16 @@ class ChecksumCollector:
                     participant, object_id, 0, Operation.INSERT, (), output,
                     inherited=False, note=note,
                 )
-                return self._stage(record, ())
+                return self._stage(write, record, ())
             record = self._build(
                 participant, object_id, latest.seq_id + 1, Operation.INSERT,
                 (), output, inherited=False, note=note,
             )
-            return self._stage(record, (latest.checksum,))
+            return self._stage(write, record, (latest.checksum,))
 
         if latest is None:
-            latest = self._bootstrap(participant, object_id, before, ctx)
-        elif self.strict and latest.output.digest != before:
+            latest = ChainTail.of(self._bootstrap(write, object_id, before, ctx))
+        elif self.strict and latest.output_digest != before:
             raise ProvenanceError(
                 f"object {object_id!r} was modified out-of-band: its "
                 "pre-operation state does not match its latest provenance record"
@@ -250,7 +293,7 @@ class ChecksumCollector:
             participant, object_id, latest.seq_id + 1, operation,
             (input_state,), output, inherited=not direct, note=note,
         )
-        return self._stage(record, (latest.checksum,))
+        return self._stage(write, record, (latest.checksum,))
 
     # ------------------------------------------------------------------
     # aggregation
@@ -270,20 +313,22 @@ class ChecksumCollector:
         """
         if OBS.enabled:
             OBS.registry.counter("collector.operations", kind="aggregate").inc()
-        self._begin_staging(participant)
+        write = StagedWrite(participant, (event,))
         try:
-            return self._collect_aggregate(participant, event, ctx, note)
+            self._stage_aggregate(write, event, ctx, note)
         except BaseException:
-            self._abort_staging()
+            self.abandon([write])
             raise
+        return self._finish(write)[-1]
 
-    def _collect_aggregate(
+    def _stage_aggregate(
         self,
-        participant: Participant,
+        write: StagedWrite,
         event: AggregateEvent,
         ctx: OperationHashContext,
         note: str,
-    ) -> ProvenanceRecord:
+    ) -> None:
+        participant = write.participant
         input_states = []
         prev_checksums = []
         max_seq = -1
@@ -300,7 +345,7 @@ class ChecksumCollector:
                 pending_bootstrap.append((input_id, digest))
                 latest_checksum = None
             else:
-                if self.strict and latest.output.digest != digest:
+                if self.strict and latest.output_digest != digest:
                     raise ProvenanceError(
                         f"aggregation input {input_id!r} was modified out-of-band"
                     )
@@ -321,7 +366,7 @@ class ChecksumCollector:
         resolved_prevs = []
         for input_id, digest, size, latest_checksum in input_states:
             if latest_checksum is None:
-                genesis = self._bootstrap_record(participant, input_id, digest, size)
+                genesis = self._bootstrap_record(write, input_id, digest, size)
                 latest_checksum = genesis.checksum
                 max_seq = max(max_seq, genesis.seq_id)
             resolved_inputs.append(
@@ -335,8 +380,7 @@ class ChecksumCollector:
             participant, event.object_id, max_seq + 1, Operation.AGGREGATE,
             tuple(resolved_inputs), output, inherited=False, note=note,
         )
-        self._stage(record, prev_checksums)
-        return self._flush_staging()[-1]
+        self._stage(write, record, prev_checksums)
 
     # ------------------------------------------------------------------
     # helpers
@@ -401,37 +445,147 @@ class ChecksumCollector:
         )
 
     def _stage(
-        self, record: ProvenanceRecord, prev_checksums: Tuple[bytes, ...]
+        self, write: StagedWrite, record: ProvenanceRecord,
+        prev_checksums: Tuple[object, ...],
     ) -> ProvenanceRecord:
-        """Stage ``record`` unsigned; the flush signs it (:meth:`_sign_staged`).
+        """Stage ``record`` unsigned in ``write``; its commit signs it.
 
-        Until then its checksum is an :class:`_Unsigned` marker, which a
-        successor staged in the same flush carries among its
-        ``prev_checksums``.
+        Until then its checksum is an ``_Unsigned`` marker, and its tail
+        is the pending tail its object's next record chains on.
         """
-        staged = record.with_checksum(_Unsigned(len(self._staged)))
-        self._staged.append((staged, prev_checksums))
-        self._staged_latest[staged.object_id] = staged
+        staged = record.with_checksum(_Unsigned())
+        write.staged.append((staged, prev_checksums))
+        self._pending[staged.object_id] = ChainTail.of(staged)
         return staged
 
-    def _sign_staged(self) -> Tuple[ProvenanceRecord, ...]:
-        """Sign the staged records, in staging order.
+    def _latest(self, object_id: str) -> Optional[ChainTail]:
+        """An object's chain tail, staged records included."""
+        pending = self._pending.get(object_id)
+        if pending is not None:
+            return pending
+        tail = getattr(self.provenance_store, "tail", None)
+        if tail is not None:
+            return tail(object_id)
+        record = self.provenance_store.latest(object_id)  # duck-typed stores
+        return None if record is None else ChainTail.of(record)
 
-        Each run of consecutive records whose predecessors are all
-        signed goes to the participant in one ``sign_many`` call, which a
-        signer pool spreads over its helpers.  A record that chains on a
-        checksum of the current run (an update after its bootstrap
-        genesis, an aggregate over bootstrapped inputs) starts the next
-        run, so it waits for that signature.
+    def _finish(self, write: StagedWrite) -> Tuple[ProvenanceRecord, ...]:
+        """Commit a freshly staged write, or hand it to the deferring caller."""
+        if self._deferred is not None:
+            self._deferred.append(write)
+            return write.unsigned()
+        try:
+            return self.commit([write])
+        except BaseException:
+            self.abandon([write])
+            raise
+
+    def abandon(self, writes: Sequence[StagedWrite]) -> None:
+        """Forget the pending tails of writes that will never commit.
+
+        The writes' engine effects are the caller's to revert; staging
+        afterwards chains on the store's tails again.
         """
-        participant = self._staging.participant
-        staged = self._staged
+        for write in writes:
+            self._settle(write.unsigned())
+
+    def _settle(self, unsigned: Sequence[ProvenanceRecord]) -> None:
+        """Drop the pending tails that are still these records'."""
+        for record in unsigned:
+            tail = self._pending.get(record.object_id)
+            if tail is not None and tail.checksum is record.checksum:
+                del self._pending[record.object_id]
+
+    # ------------------------------------------------------------------
+    # commit
+    # ------------------------------------------------------------------
+
+    def commit(
+        self,
+        writes: Sequence[StagedWrite],
+        lock: Optional[ContextManager] = None,
+    ) -> Tuple[ProvenanceRecord, ...]:
+        """Sign, seal and store staged writes as one batch, in order.
+
+        The writes must be every staged write that precedes the last of
+        them and is not yet committed, all of one participant.  Their
+        records are signed in staging order, sealed under one Merkle root
+        for a batch scheme, and appended in one store batch; each write's
+        :attr:`StagedWrite.records` is set and all of them are returned.
+
+        ``lock`` (a context manager; none by default) is held only while
+        the batch is appended, so signing and sealing run without it.
+        On failure nothing is stored and the writes stay pending: the
+        caller rolls them back.
+        """
+        participant = writes[0].participant
+        lock = nullcontext() if lock is None else lock
+        staged = [item for write in writes for item in write.staged]
+        try:
+            records = self._sign(participant, staged)
+            # The flush span nests under whatever is open on this thread
+            # — for a served request, the handler's http.request span,
+            # itself parented on the client's traceparent context — so
+            # the collector leg shows up in the distributed trace tree.
+            with obs.phase("collector.flush", staged=len(records)):
+                records = self._seal(participant, records)
+                self._observe_flush(records)
+                log = OBS.events
+                unsigned = [record for record, _ in staged]
+                if log is None:
+                    self._store(records, unsigned, lock)
+                else:
+                    # One correlation id per flush: the collector.flush
+                    # event and the store.batch (and any verify.report
+                    # consuming the same operation) emitted inside this
+                    # scope share it, threading collector -> store ->
+                    # verifier through the event stream.  When a caller
+                    # already opened a correlation scope — the HTTP front
+                    # end opens one per request — the flush *joins* it
+                    # instead of minting a fresh id, so one request's
+                    # events read as one causal chain: http.request ->
+                    # collector.flush -> store.batch.
+                    from repro.obs.events import current_correlation
+
+                    with log.correlation(current_correlation()):
+                        log.emit(
+                            "collector.flush",
+                            records=len(records),
+                            objects=len({record.object_id for record in records}),
+                            inherited=sum(1 for r in records if r.inherited),
+                        )
+                        self._store(records, unsigned, lock)
+        except BaseException:
+            abort = getattr(participant.scheme, "abort_batch", None)
+            if abort is not None:
+                abort()
+            raise
+        at = 0
+        for write in writes:
+            write.records = records[at:at + len(write.staged)]
+            at += len(write.staged)
+        return records
+
+    def _sign(
+        self, participant: Participant,
+        staged: Sequence[Tuple[ProvenanceRecord, Tuple[object, ...]]],
+    ) -> Tuple[ProvenanceRecord, ...]:
+        """Sign staged records, in staging order.
+
+        Each run of consecutive records whose predecessors are all signed
+        goes to the participant in one ``sign_many`` call, which a signer
+        pool spreads over its helpers.  A record that chains on a record
+        of the current run (an update after its bootstrap genesis, an
+        aggregate over bootstrapped inputs, a later request's update of
+        an object an earlier one wrote) starts the next run, so it waits
+        for that signature.
+        """
         signed: List[ProvenanceRecord] = []
-        while len(signed) < len(staged):
-            start = len(signed)
+        start = 0
+        while start < len(staged):
             end = start + 1
             while end < len(staged) and not any(
-                isinstance(prev, _Unsigned) and prev.index >= start
+                isinstance(prev, _Unsigned) and prev.value is None
                 for prev in staged[end][1]
             ):
                 end += 1
@@ -439,51 +593,32 @@ class ChecksumCollector:
             messages = []
             for record, prevs in run:
                 resolved = tuple(
-                    signed[prev.index].checksum if isinstance(prev, _Unsigned) else prev
+                    prev.value if isinstance(prev, _Unsigned) else prev
                     for prev in prevs
                 )
+                if None in resolved:
+                    raise ProvenanceError(
+                        f"record {record.key} chains on a record no commit signed"
+                    )
                 messages.append(payloads.record_payload(record, resolved))
-            checksums = participant.sign_many(messages)
-            signed.extend(
-                record.with_checksum(checksum)
-                for (record, _), checksum in zip(run, checksums)
-            )
+            for (record, _), checksum in zip(run, participant.sign_many(messages)):
+                record.checksum.value = checksum
+                signed.append(record.with_checksum(checksum))
+            start = end
         return tuple(signed)
 
-    def _latest(self, object_id: str):
-        """Latest record for an object, staged records included."""
-        staged = self._staged_latest.get(object_id)
-        if staged is not None:
-            return staged
-        return self.provenance_store.latest(object_id)
-
-    def _begin_staging(self, participant: Participant) -> None:
-        self._staged.clear()
-        self._staged_latest.clear()
-        # Remembered so flush/abort can seal or drop the participant's
-        # pending batch-signature leaves alongside the staged records.
-        self._staging.participant = participant
-
-    def _abort_staging(self) -> None:
-        self._staged.clear()
-        self._staged_latest.clear()
-        participant = getattr(self._staging, "participant", None)
-        abort = getattr(getattr(participant, "scheme", None), "abort_batch", None)
-        if abort is not None:
-            abort()
-
-    def _seal_staged(
-        self, records: Tuple[ProvenanceRecord, ...]
+    @staticmethod
+    def _seal(
+        participant: Participant, records: Tuple[ProvenanceRecord, ...]
     ) -> Tuple[ProvenanceRecord, ...]:
         """Close the batch-signature envelope over the signed records.
 
         Per-record schemes are a no-op.  A batch scheme (duck-typed on
-        ``seal_batch``) signed every staged record's payload into a
-        pending leaf in staging order, so its proofs zip positionally
+        ``seal_batch``) signed every record's payload into a pending leaf
+        on this thread, in staging order, so its proofs zip positionally
         onto the records.
         """
-        participant = getattr(self._staging, "participant", None)
-        seal = getattr(getattr(participant, "scheme", None), "seal_batch", None)
+        seal = getattr(participant.scheme, "seal_batch", None)
         if seal is None or not records:
             return records
         proofs = seal()
@@ -496,49 +631,24 @@ class ChecksumCollector:
             record.with_proof(proof) for record, proof in zip(records, proofs)
         )
 
-    def _flush_staging(self) -> Tuple[ProvenanceRecord, ...]:
-        # The flush span nests under whatever is open on this thread —
-        # for a served request, the handler's http.request span, itself
-        # parented on the client's traceparent context — so the
-        # collector leg shows up in the distributed trace tree.
-        records = self._sign_staged()
-        with obs.phase("collector.flush", staged=len(records)):
-            records = self._seal_staged(records)
-            if OBS.enabled:
-                reg = OBS.registry
-                reg.counter("collector.records.flushed").inc(len(records))
-                reg.counter("collector.records.inherited").inc(
-                    sum(1 for record in records if record.inherited)
-                )
-                # Fan-out: records produced by one operation (§4.2's
-                # inherited propagation makes this > 1 for nested objects).
-                reg.histogram("collector.fanout").observe(len(records))
-            log = OBS.events
-            if log is None:
-                return self._flush_to_store(records)
-            # One correlation id per flush: the collector.flush event and
-            # the store.batch (and any verify.report consuming the same
-            # operation) emitted inside this scope share it, threading
-            # collector -> store -> verifier through the event stream.
-            # When a caller already opened a correlation scope — the HTTP
-            # front end opens one per request — the flush *joins* it
-            # instead of minting a fresh id, so one request's events read
-            # as one causal chain: http.request -> collector.flush ->
-            # store.batch.
-            from repro.obs.events import current_correlation
+    @staticmethod
+    def _observe_flush(records: Tuple[ProvenanceRecord, ...]) -> None:
+        if OBS.enabled:
+            reg = OBS.registry
+            reg.counter("collector.records.flushed").inc(len(records))
+            reg.counter("collector.records.inherited").inc(
+                sum(1 for record in records if record.inherited)
+            )
+            # Fan-out: records produced by one flush (§4.2's inherited
+            # propagation makes this > 1 for nested objects).
+            reg.histogram("collector.fanout").observe(len(records))
 
-            with log.correlation(current_correlation()):
-                log.emit(
-                    "collector.flush",
-                    records=len(records),
-                    objects=len({record.object_id for record in records}),
-                    inherited=sum(1 for r in records if r.inherited),
-                )
-                return self._flush_to_store(records)
-
-    def _flush_to_store(
-        self, records: Tuple[ProvenanceRecord, ...]
-    ) -> Tuple[ProvenanceRecord, ...]:
+    def _store(
+        self,
+        records: Tuple[ProvenanceRecord, ...],
+        unsigned: List[ProvenanceRecord],
+        lock: ContextManager,
+    ) -> None:
         if self.faults is not None:
             # The most delicate crash point: records are signed but not
             # yet stored.  A crash here loses the whole batch — which is
@@ -550,24 +660,32 @@ class ChecksumCollector:
             # One batch, one store transaction: a complex operation (§4.4)
             # commits atomically, so no half-flushed batch can ever read
             # as an R4 attack.
-            self._store_with_retry(append_many, records)
+            self._store_with_retry(lambda: append_many(records), unsigned, lock)
         else:  # duck-typed stores predating the batch API
-            for record in records:
-                self._store_with_retry(self.provenance_store.append, record)
-        self._staged.clear()
-        self._staged_latest.clear()
-        return records
+            for record, pending in zip(records, unsigned):
+                self._store_with_retry(
+                    lambda record=record: self.provenance_store.append(record),
+                    [pending], lock,
+                )
 
-    def _store_with_retry(self, write, payload) -> None:
+    def _store_with_retry(
+        self, write, unsigned: Sequence[ProvenanceRecord], lock: ContextManager
+    ) -> None:
         """One store write with bounded retry on transient failures.
 
-        Safe to retry: ``append_many`` is all-or-nothing (and the SQLite
-        store drops its tail cache on failure, so a retry re-reads true
-        chain tails), and a failed single ``append`` writes nothing.
+        Each attempt holds ``lock`` and, once the write lands, settles the
+        records' pending tails in the same hold; the backoff between
+        attempts sleeps without it.  Safe to retry: ``append_many`` is
+        all-or-nothing (the sharded store takes back the shards a failed
+        batch reached, and the SQLite store drops its tail cache on
+        failure, so a retry re-reads true chain tails), and a failed
+        single ``append`` writes nothing.
         """
         for attempt in range(self.store_retries + 1):
             try:
-                write(payload)
+                with lock:
+                    write()
+                    self._settle(unsigned)
                 return
             except TRANSIENT_STORE_ERRORS:
                 if attempt >= self.store_retries:
@@ -586,7 +704,7 @@ class ChecksumCollector:
 
     def _bootstrap(
         self,
-        participant: Participant,
+        write: StagedWrite,
         object_id: str,
         before_digest: bytes,
         ctx: OperationHashContext,
@@ -594,14 +712,15 @@ class ChecksumCollector:
         """Attest an untracked object's current state with a genesis record."""
         self._require_bootstrap(object_id)
         return self._bootstrap_record(
-            participant, object_id, before_digest, ctx.before_size(object_id)
+            write, object_id, before_digest, ctx.before_size(object_id)
         )
 
     def _bootstrap_record(
-        self, participant: Participant, object_id: str, digest: bytes, size: int
+        self, write: StagedWrite, object_id: str, digest: bytes, size: int
     ) -> ProvenanceRecord:
         output = ObjectState(object_id=object_id, digest=digest, node_count=size)
         record = self._build(
-            participant, object_id, 0, Operation.INSERT, (), output, inherited=False
+            write.participant, object_id, 0, Operation.INSERT, (), output,
+            inherited=False,
         )
-        return self._stage(record, ())
+        return self._stage(write, record, ())

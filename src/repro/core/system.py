@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backend.engine import DatabaseEngine
 from repro.backend.events import OperationEvent
 from repro.backend.interface import ForestStore
 from repro.backend.memory import InMemoryStore
-from repro.core.collector import ChecksumCollector
+from repro.core.collector import ChecksumCollector, StagedWrite
 from repro.core.merkle import (
     BasicHashing,
     EconomicalHashing,
@@ -201,6 +201,30 @@ class TamperEvidentDatabase:
         :class:`~repro.core.verifier.VerificationReport`.
         """
         return self.ship(object_id).verify(self.keystore(), workers=workers)
+
+    # ------------------------------------------------------------------
+    # deferred commits
+    # ------------------------------------------------------------------
+
+    def rollback(self, writes: Sequence[StagedWrite]) -> None:
+        """Undo staged writes that will never commit, newest first.
+
+        ``writes`` (in staging order) must include every uncommitted write
+        staged after the first of them.  Each write's engine events are
+        reverted and the hash-cache state they refreshed evicted, and the
+        collector forgets their pending chain tails, so the next write
+        stages on committed state only.
+        """
+        self.collector.abandon(writes)
+        for write in reversed(writes):
+            self._revert(write.events)
+
+    def _revert(self, events: Iterable[OperationEvent]) -> None:
+        """Revert engine events and evict the hash-cache state the
+        (already committed) hash context refreshed for them."""
+        events = list(events)
+        self.engine.undo_events(events)
+        self.hashing.forget(self.store, events)
 
     # ------------------------------------------------------------------
 
@@ -381,10 +405,8 @@ class ParticipantSession:
             raise
 
     def _undo(self, events) -> None:
-        """Compensate a failed collection: revert the store and evict any
-        hash-cache state the (already committed) context refreshed."""
-        self.db.engine.undo_events(events)
-        self.db.hashing.forget(self.db.store, list(events))
+        """Compensate a failed collection (see :meth:`TamperEvidentDatabase._revert`)."""
+        self.db._revert(events)
 
     def __repr__(self) -> str:
         return f"ParticipantSession({self.participant.participant_id!r})"

@@ -218,15 +218,22 @@ class MerkleBatchSignatureScheme:
     binds the checksum to an RSA signature — dropping either re-admits
     forgeries, so :func:`record_signature_valid` always applies both.
 
-    Thread safety mirrors the collector's staging: pending leaves are
-    thread-local (one batch per session thread), while the epoch counter
-    is shared under a lock so concurrent sessions never reuse an epoch.
+    Thread safety mirrors the collector's commits: pending leaves are
+    thread-local (a commit signs and seals its batch on one thread),
+    while the epoch counter is shared under a lock so concurrent commits
+    never reuse an epoch.
+
+    :attr:`root_signer` is the per-record RSA scheme that signs each
+    root.  The service swaps in one that computes the signature in its
+    signer pool (:class:`repro.service.signers.PooledRSASignatureScheme`,
+    the same bytes), so a seal that covers several requests' records
+    waits with the GIL released.
     """
 
     scheme_name = MERKLE_BATCH_SCHEME
 
     def __init__(self, private_key: RSAPrivateKey, hash_algorithm: str = "sha1"):
-        self._root_signer = RSASignatureScheme(private_key, hash_algorithm)
+        self.root_signer = RSASignatureScheme(private_key, hash_algorithm)
         self.hash_algorithm = hash_algorithm
         self._alg = get_algorithm(hash_algorithm)
         self._local = threading.local()
@@ -236,7 +243,7 @@ class MerkleBatchSignatureScheme:
     @property
     def public_key(self) -> RSAPublicKey:
         """The public half, to be placed in the participant's certificate."""
-        return self._root_signer.public_key
+        return self.root_signer.public_key
 
     @property
     def signature_size(self) -> int:
@@ -282,7 +289,7 @@ class MerkleBatchSignatureScheme:
             _, batch_root, batch_audit_paths, _ = _batch_merkle()
             root = batch_root(batch, self.hash_algorithm)
             paths = batch_audit_paths(batch, self.hash_algorithm)
-            signature = self._root_signer.sign(
+            signature = self.root_signer.sign(
                 batch_root_message(epoch, len(batch), root)
             )
             if OBS.enabled:
@@ -322,14 +329,14 @@ class MerkleBatchSignatureScheme:
     ) -> bool:
         """Full check against the embedded public key (tests/tools)."""
         return _batch_proof_valid(
-            self._root_signer.verifier(), message, checksum, proof,
+            self.root_signer.verifier(), message, checksum, proof,
             self.hash_algorithm, None, "",
         )
 
     def verifier(self) -> RSASignatureVerifier:
         """Public material needed to verify sealed batches: the RSA
         verifier for root signatures (same key the certificate binds)."""
-        return self._root_signer.verifier()
+        return self.root_signer.verifier()
 
     def __repr__(self) -> str:
         return (

@@ -8,9 +8,9 @@ consults a :class:`~repro.faults.plan.FaultPlan` at three sites:
                         batch through the inner store's crash surface
                         (:meth:`begin_torn_batch`), then crash — the
                         exact state a power cut mid-commit leaves behind
-``store.read``          ERROR / LATENCY on ``latest``/``records_for``/
-                        ``get``/``all_records`` (the chain-tail reads the
-                        collector depends on)
+``store.read``          ERROR / LATENCY on ``tail``/``latest``/
+                        ``records_for``/``get``/``all_records`` (``tail``
+                        is the chain-tail read the collector stages from)
 
 Faults fire *before* the inner operation (except TORN, which replaces
 it), so an ERROR leaves the inner store untouched and a retry can
@@ -102,6 +102,10 @@ class FaultyStore:
     def latest(self, object_id: str) -> Optional[ProvenanceRecord]:
         self.plan.maybe_raise("store.read")
         return self.inner.latest(object_id)
+
+    def tail(self, object_id: str) -> Optional[ChainTail]:
+        self.plan.maybe_raise("store.read")
+        return self.inner.tail(object_id)
 
     def get(self, object_id: str, seq_id: int) -> Optional[ProvenanceRecord]:
         self.plan.maybe_raise("store.read")

@@ -318,6 +318,7 @@ class ProvenanceMonitor:
             wm = watermarks[oid]
             if tail_of is not None:
                 tail = tail_of(oid)
+                tail = tail[:2] if tail is not None else None
             else:
                 latest = self.store.latest(oid)
                 tail = (latest.seq_id, latest.checksum) if latest else None

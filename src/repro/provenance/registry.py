@@ -9,8 +9,11 @@ independent SQLite files and never contend on one writer connection.
 Sharding is sound for this data model because chains are **local per
 object** (paper §3.2): a record's predecessor lives in the same chain,
 hence the same shard, so per-shard atomicity of ``append_many`` preserves
-per-chain atomicity.  A batch spanning shards commits shard-by-shard; the
-per-shard batch journal covers crash recovery exactly as for a single
+per-chain atomicity.  A batch spanning shards commits shard-by-shard.  If
+a shard raises, the shards the batch already reached are taken back, so
+a failed ``append_many`` leaves nothing of the batch behind and a retry
+is a clean first write.  A crash (a ``BaseException``) takes nothing
+back: the per-shard batch journal covers it exactly as for a single
 store (a tear in any shard leaves an uncommitted journal declaration that
 :class:`~repro.faults.recovery.RecoveryScanner` truncates).
 
@@ -108,8 +111,16 @@ class ShardedProvenanceStore:
         # Validate the whole batch up front so a sequence violation in a
         # late shard cannot leave an earlier shard already committed.
         _check_batch(batch, self._tail)
-        for pos, group in sorted(self._split(batch).items()):
-            self.shards[pos].append_many(group)
+        committed: List[Tuple[int, int]] = []
+        try:
+            for pos, group in sorted(self._split(batch).items()):
+                committed.append((pos, self.shards[pos].append_many(group)))
+        except Exception:
+            # All-or-nothing across shards: take back what the earlier
+            # shards committed, newest first.
+            for pos, batch_id in reversed(committed):
+                self.shards[pos].retract_batch(batch_id)
+            raise
 
     # ------------------------------------------------------------------
     # read path
@@ -120,6 +131,9 @@ class ShardedProvenanceStore:
 
     def latest(self, object_id: str) -> Optional[ProvenanceRecord]:
         return self._shard_for(object_id).latest(object_id)
+
+    def tail(self, object_id: str) -> Optional[ChainTail]:
+        return self._shard_for(object_id).tail(object_id)
 
     def get(self, object_id: str, seq_id: int) -> Optional[ProvenanceRecord]:
         return self._shard_for(object_id).get(object_id, seq_id)

@@ -21,6 +21,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -41,6 +42,7 @@ from repro.provenance.records import ProvenanceRecord
 __all__ = [
     "ProvenanceStore",
     "BatchJournalEntry",
+    "ChainTail",
     "Checkpoint",
     "InMemoryProvenanceStore",
     "SQLiteProvenanceStore",
@@ -99,11 +101,24 @@ class ProvenanceStore(Protocol):
         ...
 
 
-#: The per-object chain tail an append is validated against: the latest
-#: ``(seq_id, checksum)`` pair.  Deliberately *not* a full record — the
-#: hot write path must not deserialize JSON payloads just to read a
-#: sequence number.
-ChainTail = Tuple[int, bytes]
+class ChainTail(NamedTuple):
+    """What the write path needs of an object's latest record.
+
+    An append is validated against ``seq_id``; the collector stages the
+    next record from all three fields: the next seq id, the predecessor
+    checksum it chains on, and the output digest that the strict
+    out-of-band check compares with the object's pre-operation state.
+    Deliberately *not* a full record, so the hot write path deserializes
+    no JSON payload.
+    """
+
+    seq_id: int
+    checksum: bytes
+    output_digest: bytes
+
+    @classmethod
+    def of(cls, record: ProvenanceRecord) -> "ChainTail":
+        return cls(record.seq_id, record.checksum, record.output.digest)
 
 
 @dataclass(frozen=True)
@@ -237,7 +252,7 @@ def _check_batch(
         if tail is None:
             tail = tail_of(record.object_id)
         _check_append(record, tail)
-        staged[record.object_id] = (record.seq_id, record.checksum)
+        staged[record.object_id] = ChainTail.of(record)
     return staged
 
 
@@ -262,10 +277,11 @@ class InMemoryProvenanceStore:
             if OBS.enabled:
                 OBS.registry.counter("store.append.records", store="memory").inc()
 
-    def append_many(self, records: Iterable[ProvenanceRecord]) -> None:
+    def append_many(self, records: Iterable[ProvenanceRecord]) -> Optional[int]:
+        """Store ``records`` atomically; returns the batch's journal id."""
         batch = list(records)
         if not batch:
-            return
+            return None
         with obs.phase("store.batch", store="memory", records=len(batch)), \
                 obs.phase("store.io"):
             _check_batch(batch, self._tail)  # validate-then-apply: atomic
@@ -289,6 +305,7 @@ class InMemoryProvenanceStore:
                     records=len(batch),
                     objects=len({record.object_id for record in batch}),
                 )
+        return entry.batch_id
 
     # ------------------------------------------------------------------
     # batch journal / crash-recovery surface (see BatchJournalEntry)
@@ -346,6 +363,18 @@ class InMemoryProvenanceStore:
         """Drop a journal entry once recovery has truncated its records."""
         self._journal.pop(batch_id, None)
 
+    def retract_batch(self, batch_id: int) -> None:
+        """Remove a committed batch's records and journal entry.
+
+        Only :class:`~repro.provenance.registry.ShardedProvenanceStore`
+        calls this, to take back the shards a batch already reached when
+        a later shard failed.  The batch must be the newest write of
+        every chain it touched.
+        """
+        entry = self._journal.pop(batch_id)
+        for object_id, seq_id in reversed(entry.keys):
+            self.discard(object_id, seq_id)
+
     # ------------------------------------------------------------------
     # verified watermarks (the monitor's per-object Checkpoint)
     # ------------------------------------------------------------------
@@ -370,7 +399,11 @@ class InMemoryProvenanceStore:
         chain = self._chains.get(object_id)
         if not chain:
             return None
-        return (chain[-1].seq_id, chain[-1].checksum)
+        return ChainTail.of(chain[-1])
+
+    def tail(self, object_id: str) -> Optional[ChainTail]:
+        """The object's chain tail, or None if it has no records."""
+        return self._tail(object_id)
 
     def records_for(self, object_id: str) -> Tuple[ProvenanceRecord, ...]:
         return tuple(self._chains.get(object_id, ()))
@@ -469,11 +502,12 @@ class SQLiteProvenanceStore:
         # checksums, not by the journal (see EXPERIMENTS.md).
         self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute("PRAGMA synchronous = OFF")
-        # Chain-tail cache: object_id -> (seq_id, checksum) of the newest
-        # record, or None for objects known to have no records.  Appends
-        # validate against this instead of SELECTing + JSON-decoding the
-        # full latest payload.  Assumes this store is the object's only
-        # writer (same single-collector model as the paper's §5 setup).
+        # Chain-tail cache: object_id -> ChainTail of the newest record, or
+        # None for objects known to have no records.  Appends validate
+        # against it and the collector stages from it, instead of
+        # SELECTing + JSON-decoding the full latest payload.  Assumes this
+        # store is the object's only writer (same single-collector model
+        # as the paper's §5 setup).
         self._tail_cache: Dict[str, Optional[ChainTail]] = {}
 
     def close(self) -> None:
@@ -502,23 +536,34 @@ class SQLiteProvenanceStore:
         )
 
     def _tail(self, object_id: str) -> Optional[ChainTail]:
-        """Latest ``(seq_id, checksum)`` without deserializing the payload."""
+        """The latest record's :class:`ChainTail`, cached.
+
+        A miss reads the newest row once; after that, appends keep the
+        cache current without reading anything.
+        """
         try:
             tail = self._tail_cache[object_id]
         except KeyError:
             if OBS.enabled:
                 OBS.registry.counter("store.tail_cache.misses").inc()
             row = self._conn.execute(
-                "SELECT seq_id, checksum FROM provenance WHERE object_id = ?"
-                " ORDER BY seq_id DESC LIMIT 1",
+                "SELECT seq_id, checksum, payload FROM provenance"
+                " WHERE object_id = ? ORDER BY seq_id DESC LIMIT 1",
                 (object_id,),
             ).fetchone()
-            tail = (row[0], bytes(row[1])) if row is not None else None
+            tail = None
+            if row is not None:
+                digest = self._load((row[2],)).output.digest
+                tail = ChainTail(row[0], bytes(row[1]), digest)
             self._tail_cache[object_id] = tail
             return tail
         if OBS.enabled:
             OBS.registry.counter("store.tail_cache.hits").inc()
         return tail
+
+    def tail(self, object_id: str) -> Optional[ChainTail]:
+        """The object's chain tail, or None if it has no records."""
+        return self._tail(object_id)
 
     def append(self, record: ProvenanceRecord) -> None:
         _check_append(record, self._tail(record.object_id))
@@ -529,7 +574,7 @@ class SQLiteProvenanceStore:
             raise SequenceError(
                 f"duplicate record key ({record.object_id!r}, {record.seq_id})"
             ) from exc
-        self._tail_cache[record.object_id] = (record.seq_id, record.checksum)
+        self._tail_cache[record.object_id] = ChainTail.of(record)
         if OBS.enabled:
             OBS.registry.counter("store.append.records", store="sqlite").inc()
 
@@ -554,10 +599,11 @@ class SQLiteProvenanceStore:
             )
         return batch_id
 
-    def append_many(self, records: Iterable[ProvenanceRecord]) -> None:
+    def append_many(self, records: Iterable[ProvenanceRecord]) -> Optional[int]:
+        """Store ``records`` in one transaction; returns the journal id."""
         batch = list(records)
         if not batch:
-            return
+            return None
         with obs.phase("store.batch", store="sqlite", records=len(batch)):
             staged = _check_batch(batch, self._tail)
             batch_id: Optional[int] = None
@@ -590,6 +636,7 @@ class SQLiteProvenanceStore:
                     records=len(batch),
                     objects=len({record.object_id for record in batch}),
                 )
+        return batch_id
 
     def records_for(self, object_id: str) -> Tuple[ProvenanceRecord, ...]:
         rows = self._conn.execute(
@@ -687,7 +734,7 @@ class SQLiteProvenanceStore:
         # at them, as a crashed-then-restarted writer would see.  Recovery
         # truncation (discard) re-invalidates per object.
         for record in batch[: max(0, keep)]:
-            self._tail_cache[record.object_id] = (record.seq_id, record.checksum)
+            self._tail_cache[record.object_id] = ChainTail.of(record)
         return batch_id
 
     def discard(self, object_id: str, seq_id: int) -> bool:
@@ -708,6 +755,26 @@ class SQLiteProvenanceStore:
             "DELETE FROM batch_journal WHERE batch_id = ?", (batch_id,)
         )
         self._conn.commit()
+
+    def retract_batch(self, batch_id: int) -> None:
+        """Remove a committed batch's rows and journal entry in one
+        transaction (see :meth:`InMemoryProvenanceStore.retract_batch`)."""
+        (keys,) = self._conn.execute(
+            "SELECT keys FROM batch_journal WHERE batch_id = ?", (batch_id,)
+        ).fetchone()
+        keys = json.loads(keys)
+        try:
+            with self._conn:
+                self._conn.executemany(
+                    "DELETE FROM provenance WHERE object_id = ? AND seq_id = ?",
+                    keys,
+                )
+                self._conn.execute(
+                    "DELETE FROM batch_journal WHERE batch_id = ?", (batch_id,)
+                )
+        finally:
+            for object_id, _ in keys:
+                self._tail_cache.pop(object_id, None)
 
     # ------------------------------------------------------------------
     # verified watermarks (the monitor's per-object Checkpoint)

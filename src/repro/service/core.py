@@ -16,7 +16,25 @@ relative to other tenants or on request interleaving across tenants.
 That is what makes a served world byte-identical to a same-seed
 in-process reference world (the equivalence suite), and per-object
 responses byte-identical even under concurrent multi-tenant load (chains
-are local per object, §3.2).
+are local per object, §3.2).  One thing does depend on timing: under
+Merkle-batch signing, which concurrent requests of a tenant share a
+commit decides the stored epochs and inclusion proofs.  Replies and
+record checksums do not depend on it.
+
+**Group commit.**  A write is *staged* under the tenant's world lock
+(engine operations applied, records built unsigned and chained) and
+*committed* outside it, in staging order, on the requests' own threads:
+the records are signed (through the signer pool, or leaf-hashed and
+sealed under one Merkle root signature) and appended in one store batch
+under a brief retake of the lock.  The request at the head of the queue
+commits every request staged before its commit began, so concurrent
+writes share one seal and one store transaction while each reply carries
+only its own records.  A failed commit fails its group and every write
+staged after it; they are rolled back, newest first, before the next
+write stages.  A verify reads only once every write staged before
+it has committed (another verify's ``VERIFY`` record, which touches
+nothing but the audit chain, excepted), and writes wait to stage until
+it has read, so its answer never depends on an uncommitted write.
 
 **Isolation.**  A tenant is addressed only through its API key's tenant
 claim — there is no request surface that names another tenant's world —
@@ -39,13 +57,20 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.core.collector import StagedWrite
 from repro.core.system import ParticipantSession, TamperEvidentDatabase
 from repro.crypto.pki import CertificateAuthority, KeyStore, resolve_scheme_name
-from repro.crypto.signatures import RSASignatureScheme
-from repro.exceptions import ReproError, ServiceError, UnknownObjectError
+from repro.crypto.signatures import MerkleBatchSignatureScheme, RSASignatureScheme
+from repro.exceptions import (
+    ReproError,
+    ServiceError,
+    TransientStoreError,
+    UnknownObjectError,
+)
 from repro.obs import OBS
+from repro.provenance.records import ProvenanceRecord
 from repro.provenance.registry import open_tenant_store
 from repro.query.lineage import lineage_summary
 from repro.service.auth import ApiKeyAuthority
@@ -120,14 +145,55 @@ class ServiceConfig:
         return resolve_scheme_name(self.signature_scheme)
 
 
+T = TypeVar("T")
+
+
+class _Queued:
+    """One request's place in its tenant's commit queue."""
+
+    __slots__ = ("writes", "reading", "notarizes", "state", "error")
+
+    STAGED = "staged"
+    DONE = "done"
+    FAILED = "failed"
+
+    def __init__(self, writes: List[StagedWrite], reading: bool = False):
+        self.writes = writes
+        #: A verify that has not read yet: writes wait to stage behind it.
+        self.reading = reading
+        #: A verify that has read and staged only its VERIFY record.
+        self.notarizes = False
+        self.state = self.STAGED
+        self.error: Optional[BaseException] = None
+
+    def records(self) -> Tuple[ProvenanceRecord, ...]:
+        return tuple(record for write in self.writes for record in write.records)
+
+
+def _echo(exc: BaseException) -> BaseException:
+    """The failure of a request whose group's commit raised ``exc``: the
+    same kind of error (a fresh one per request's thread)."""
+    try:
+        echo = type(exc)(*exc.args)
+    except Exception:  # noqa: BLE001 — an error type with another signature
+        echo = TransientStoreError(f"the commit of this write failed: {exc}")
+    echo.__cause__ = exc
+    return echo
+
+
 class TenantWorld:
     """One tenant's isolated database + provenance universe.
 
     Everything here is derived deterministically from
-    ``(config.seed, tenant_id)``; the world-level lock serializes all
-    operations of this tenant (the stores assume a single writer; see
-    ``SQLiteProvenanceStore``), while different tenants proceed in
-    parallel.
+    ``(config.seed, tenant_id)``.  The world-level lock serializes every
+    read and every staging step of this tenant (the stores assume a
+    single writer; see ``SQLiteProvenanceStore``), while different
+    tenants proceed in parallel.
+
+    Writes commit through the world's commit queue (see the module
+    docstring).  Lock order: a thread takes its commit turn, or waits in
+    the queue, without holding the world lock, and holds the queue's own
+    mutex only briefly, never while it waits for the world lock.
     """
 
     def __init__(
@@ -161,20 +227,25 @@ class TenantWorld:
         if config.faults is not None:
             self.db.collector.faults = config.faults
         self.participant = self.db.enroll(f"svc:{tenant_id}")
-        if signers is not None and isinstance(
-            self.participant.scheme, RSASignatureScheme
-        ):
-            # Per-record RSA signs in the service's helper processes; a
-            # Merkle-batch root seal is one signature a flush and stays
-            # in-process.
-            self.participant.scheme = PooledRSASignatureScheme(
-                self.participant.scheme, signers
-            )
+        scheme = self.participant.scheme
+        if signers is not None:
+            # Per-record RSA signatures and Merkle-batch root seals are
+            # computed in the service's helper processes.
+            if isinstance(scheme, RSASignatureScheme):
+                self.participant.scheme = PooledRSASignatureScheme(scheme, signers)
+            elif isinstance(scheme, MerkleBatchSignatureScheme):
+                scheme.root_signer = PooledRSASignatureScheme(
+                    scheme.root_signer, signers
+                )
         self.session: ParticipantSession = self.db.session(self.participant)
         #: Trust store cached once — enrollment happens only here, so the
         #: certificate set is final and verify calls skip re-validating
         #: the CA signatures on every request.
         self.keystore: KeyStore = self.db.keystore()
+        #: Staged requests in staging order; the head commits next.
+        self._queue: List[_Queued] = []
+        #: Guards the queue; waiters for a turn wait on it.
+        self._turns = threading.Condition()
         self._monitor = None
         self.witness = None
         self._anchor_path: Optional[str] = None
@@ -200,6 +271,164 @@ class TenantWorld:
     @property
     def store(self):
         return self.db.provenance_store
+
+    # ------------------------------------------------------------------
+    # the commit queue
+    # ------------------------------------------------------------------
+
+    def _reading(self) -> bool:
+        return any(queued.reading for queued in self._queue)
+
+    def _push(self, writes: List[StagedWrite], reading: bool = False) -> _Queued:
+        queued = _Queued(writes, reading)
+        with self._turns:
+            self._queue.append(queued)
+        return queued
+
+    def stage(self, apply: Callable[[], T]) -> Tuple[T, _Queued]:
+        """Run ``apply`` under the world lock with its commits deferred.
+
+        Waits, without the lock, while a verify that has not read yet is
+        queued, so no verify reads an uncommitted write.  Returns what
+        ``apply`` returned and the request's place in the queue.
+        """
+        while True:
+            with self._turns:
+                while self._reading():
+                    self._turns.wait()
+            with self.lock:
+                with self._turns:
+                    if self._reading():  # a verify queued meanwhile
+                        continue
+                result, writes = self._deferred(apply)
+                return result, self._push(writes)
+
+    def _deferred(self, apply: Callable[[], T]) -> Tuple[T, List[StagedWrite]]:
+        """Run ``apply`` (the caller holds the lock) with the collector's
+        commits deferred; returns its result and the writes it staged."""
+        with self.db.collector.deferring() as writes:
+            try:
+                result = apply()
+            except BaseException:
+                self.db.rollback(writes)
+                raise
+        return result, writes
+
+    def begin_read(self, object_id: str) -> _Queued:
+        """Queue a verify of ``object_id`` and wait, without the lock, for
+        its turn to read; no write stages until :meth:`end_read` (or
+        :meth:`withdraw`).
+
+        Its turn comes when every request queued before it has committed
+        — except an earlier verify's VERIFY record, which touches nothing
+        but the audit chain, unless ``object_id`` is that chain.
+        """
+        with self.lock:
+            queued = self._push([], reading=True)
+        try:
+            with self._turns:
+                while not self._may_read(queued, object_id):
+                    self._turns.wait()
+        except BaseException:
+            self.withdraw(queued)
+            raise
+        return queued
+
+    def _may_read(self, queued: _Queued, object_id: str) -> bool:
+        for entry in self._queue:
+            if entry is queued:
+                return True
+            if object_id == AUDIT_OBJECT or not entry.notarizes:
+                return False
+        return False
+
+    def end_read(self, queued: _Queued, apply: Callable[[], object]) -> None:
+        """The verify has read: stage ``apply``'s writes as its own, under
+        the lock, and let writes stage again."""
+        with self.lock:
+            _, writes = self._deferred(apply)
+        with self._turns:
+            queued.writes = writes
+            queued.reading = False
+            # An insert or update of a root object changes that object's
+            # node and chain alone (an audit chain a client nested under
+            # another object would give it an inherited record too).
+            queued.notarizes = all(
+                event.object_id == AUDIT_OBJECT and not event.ancestors
+                for write in writes for event in write.events
+            )
+            self._turns.notify_all()
+
+    def withdraw(self, queued: _Queued) -> None:
+        """Take a request that will not commit out of the queue."""
+        with self._turns:
+            if queued in self._queue:
+                self._queue.remove(queued)
+                self._turns.notify_all()
+
+    def commit(self, queued: _Queued) -> Tuple[ProvenanceRecord, ...]:
+        """Commit a staged request in staging order; returns its records.
+
+        Waits for the request's turn.  At the head of the queue it commits
+        every request staged before its commit began and not waiting to
+        read, as one group: one sign and seal, one store batch.  If an
+        earlier request's commit took this one along, this only waits for
+        that commit's outcome.
+
+        Raises:
+            The group's failure: the committing request's own error, the
+            same kind for the rest of its group, and
+            :class:`TransientStoreError` for requests staged after it.
+        """
+        with self._turns:
+            while queued.state == _Queued.STAGED and self._queue[0] is not queued:
+                self._turns.wait()
+            if queued.state == _Queued.DONE:
+                return queued.records()
+            if queued.state == _Queued.FAILED:
+                raise queued.error
+            group: List[_Queued] = []
+            for entry in self._queue:
+                if entry.reading:
+                    break
+                group.append(entry)
+        try:
+            self.db.collector.commit(
+                [write for entry in group for write in entry.writes], lock=self.lock
+            )
+        except BaseException as exc:
+            self._fail(group, exc)
+            raise
+        with self._turns:
+            for entry in group:
+                entry.state = _Queued.DONE
+            del self._queue[: len(group)]
+            self._turns.notify_all()
+        return queued.records()
+
+    def _fail(self, group: List[_Queued], exc: BaseException) -> None:
+        """Fail ``group`` and every write staged after it; roll them back,
+        newest first, in one hold of the world lock.
+
+        Their requests are answered as soon as they are failed; a retry
+        needs the world lock to stage, so it stages after the rollback.
+        """
+        with self.lock:
+            with self._turns:
+                failed = [entry for entry in self._queue if not entry.reading]
+                for entry in failed:
+                    self._queue.remove(entry)
+                    if entry in group:
+                        entry.error = _echo(exc)
+                    else:
+                        entry.error = TransientStoreError(
+                            "an earlier write's commit failed; this write was "
+                            "rolled back and may be retried"
+                        )
+                        entry.error.__cause__ = exc
+                    entry.state = _Queued.FAILED
+                self._turns.notify_all()
+            self.db.rollback([write for entry in failed for write in entry.writes])
 
     def witness_tick(self) -> int:
         """Anchor the current chain tails; returns new-anchor count.
@@ -334,8 +563,10 @@ class ProvenanceService:
         """Apply one primitive with provenance; returns the records."""
         self._boundary()
         world = self.world(tenant_id)
-        with world.lock:
-            records = self._apply(world, op, object_id, value, parent, inputs, note)
+        staged, queued = world.stage(
+            lambda: self._apply(world, op, object_id, value, parent, inputs, note)
+        )
+        records = self._signed(staged, world.commit(queued))
         return {
             "tenant": tenant_id,
             "object_id": object_id,
@@ -363,7 +594,8 @@ class ProvenanceService:
                     f"batch supports {self._MUTATIONS}, got {op.get('op')!r}"
                 )
         world = self.world(tenant_id)
-        with world.lock:
+
+        def apply() -> Tuple[ProvenanceRecord, ...]:
             with world.session.complex_operation(note=note):
                 for op in ops:
                     self._apply(
@@ -375,12 +607,25 @@ class ProvenanceService:
                         None,
                         str(op.get("note", "")),
                     )
-            records = world.session.last_records
+            return world.session.last_records
+
+        staged, queued = world.stage(apply)
+        records = self._signed(staged, world.commit(queued))
         return {
             "tenant": tenant_id,
             "ops": len(ops),
             "records": [self._record_dict(r) for r in records],
         }
+
+    @staticmethod
+    def _signed(
+        staged: Sequence[ProvenanceRecord], committed: Sequence[ProvenanceRecord]
+    ) -> List[ProvenanceRecord]:
+        """The committed versions of ``staged`` (a request's answer may
+        name fewer records than it committed: an aggregate's reply omits
+        the bootstrap geneses of its inputs)."""
+        by_key = {record.key: record for record in committed}
+        return [by_key[record.key] for record in staged]
 
     def _apply(
         self, world, op, object_id, value, parent, inputs, note
@@ -400,10 +645,15 @@ class ProvenanceService:
     def verify(self, tenant_id: str, object_id: str) -> Dict[str, object]:
         """Verify one object as a recipient would; notarize the act.
 
+        The verify reads once every write staged before it has committed
+        (see :meth:`TenantWorld.begin_read`), and no write stages until
+        it has read, so its answer (a 404 included) never depends on an
+        uncommitted write.  The shipment is checked without the world
+        lock, and the ``VERIFY`` record is committed before this returns.
+
         The fan-out is the service's own ``ServiceConfig.workers``, never
-        the caller's: a verify runs under the tenant's world lock, and a
-        caller choosing how many processes it forks could stall the
-        tenant at will.
+        the caller's: a caller choosing how many processes it forks could
+        stall the tenant at will.
 
         The response carries only deterministic report fields (no audit
         sequence numbers, no timings): under concurrent load the audit
@@ -412,15 +662,20 @@ class ProvenanceService:
         """
         self._boundary()
         world = self.world(tenant_id)
-        with world.lock:
-            if object_id not in world.db.store:
-                raise UnknownObjectError(
-                    f"tenant {tenant_id!r} has no object {object_id!r}"
-                )
-            report = world.db.ship(object_id).verify(
-                world.keystore, workers=self.config.workers
-            )
-            self._append_audit(world, object_id, report)
+        queued = world.begin_read(object_id)
+        try:
+            with world.lock:
+                if object_id not in world.db.store:
+                    raise UnknownObjectError(
+                        f"tenant {tenant_id!r} has no object {object_id!r}"
+                    )
+                shipment = world.db.ship(object_id)
+            report = shipment.verify(world.keystore, workers=self.config.workers)
+            world.end_read(queued, lambda: self._append_audit(world, object_id, report))
+        except BaseException:
+            world.withdraw(queued)
+            raise
+        world.commit(queued)
         if OBS.enabled:
             OBS.registry.counter(
                 "service.verifications", ok=str(report.ok).lower()
@@ -443,7 +698,7 @@ class ProvenanceService:
         }
 
     def _append_audit(self, world: TenantWorld, object_id: str, report) -> None:
-        """Append the VERIFY record to the tenant's audit chain."""
+        """Stage the VERIFY record on the tenant's audit chain."""
         outcome = json.dumps(
             {
                 "verify": object_id,

@@ -130,9 +130,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-provenance"
-    #: A reply goes out as two sends (headers, then body).  With Nagle on,
-    #: the second waits for the client's delayed ACK of the first — about
-    #: 40 ms per reply on a reused connection.
+    #: A reply goes out as one send (:meth:`_respond`), but one longer
+    #: than a TCP segment ends in a partial segment, which Nagle holds
+    #: until the client ACKs the segments before it — and a client delays
+    #: that ACK by up to 40 ms.
     disable_nagle_algorithm = True
     #: Socket timeout, seconds: an idle kept-alive connection, or a
     #: request stalled mid-body, is closed after this long, so clients
@@ -490,8 +491,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in headers.items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            # end_headers() would send the head on its own; ending it here
+            # puts the body in the same buffer, so a reply is one send and
+            # its thread wins the GIL back once, not twice.
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
 

@@ -120,6 +120,7 @@ def test_read_sites_inject(inner):
     )
     faulty = FaultyStore(inner, plan)
     for read in (
+        lambda: faulty.tail("A"),
         lambda: faulty.latest("A"),
         lambda: faulty.records_for("A"),
         lambda: faulty.get("A", 0),
@@ -127,6 +128,17 @@ def test_read_sites_inject(inner):
     ):
         with pytest.raises(sqlite3.OperationalError):
             read()
+
+
+def test_the_fault_free_tail_never_injects(inner):
+    """Recovery reads tails through ``_tail``: no read fault reaches it."""
+    inner.append(_record("A", 0))
+    plan = FaultPlan(
+        seed=0, rules=(FaultRule("store.read", FaultKind.ERROR, rate=1.0),)
+    )
+    faulty = FaultyStore(inner, plan)
+    assert faulty._tail("A")[0] == 0
+    assert not plan.events
 
 
 def test_recovery_surface_never_injects(inner):

@@ -120,6 +120,21 @@ class TestTailCacheInvalidation:
             store.append_many([_record("A", 1)])
             assert store.latest("A").seq_id == 1
 
+    @pytest.mark.parametrize("make", (InMemoryProvenanceStore, SQLiteProvenanceStore))
+    def test_discard_and_recovery_restore_the_tail_digest(self, make):
+        """The collector stages from the cached tail, output digest
+        included, so truncation must roll the digest back too."""
+        store = make()
+        store.append_many([_record("A", 0)])
+        store.append_many([_record("A", 1)])
+        assert store.tail("A") == (1, _record("A", 1).checksum, bytes([1]) * 20)
+        assert store.discard("A", 1)
+        assert store.tail("A") == (0, _record("A", 0).checksum, bytes([0]) * 20)
+        store.begin_torn_batch([_record("A", 1), _record("A", 2)], keep=2)
+        assert store.tail("A").output_digest == bytes([2]) * 20
+        RecoveryScanner(store).recover()
+        assert store.tail("A") == (0, _record("A", 0).checksum, bytes([0]) * 20)
+
     def test_torn_batch_tail_restored_after_recovery(self):
         with SQLiteProvenanceStore() as store:
             store.append_many([_record("A", 0)])

@@ -1,6 +1,7 @@
 """Sharded per-tenant store: routing, protocol conformance, crash surface."""
 
 import os
+import sqlite3
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.provenance.store import (
     Checkpoint,
     InMemoryProvenanceStore,
     ProvenanceStore,
+    SQLiteProvenanceStore,
 )
 
 
@@ -45,6 +47,10 @@ def make_store(shards=4):
 
 #: Enough ids that every shard of a 4-way store gets traffic.
 OBJECTS = [f"obj{i}" for i in range(16)]
+
+
+def shard_path(root, pos):
+    return tenant_store_paths(str(root), "t", 4)[pos]
 
 
 class TestRouting:
@@ -114,6 +120,51 @@ class TestProtocolConformance:
             store.append_many(bad)
         # Atomic across shards: the valid head record must not have landed.
         assert store.latest(OBJECTS[1]) is None
+
+    @pytest.mark.parametrize("backing", ("memory", "sqlite"))
+    def test_a_failed_shard_leaves_nothing_of_the_batch(
+        self, tmp_path, monkeypatch, backing
+    ):
+        """A batch spanning shards is all-or-nothing under a transient
+        error: the shards it already reached take their rows back, so the
+        retry is a clean first write (it used to fail with SequenceError
+        over the earlier shards' orphan rows)."""
+        if backing == "sqlite":
+            store = open_tenant_store(str(tmp_path), "t", 4)
+        else:
+            store = make_store()
+        batch = [record_for(oid, 0, Operation.INSERT) for oid in OBJECTS[:8]]
+        positions = sorted({shard_index(r.object_id, 4) for r in batch})
+        assert len(positions) > 1
+        last = store.shards[positions[-1]]
+        name = "_append_many_txn" if backing == "sqlite" else "append_many"
+        original = getattr(last, name)
+        calls = []
+
+        def fails_once(records):
+            calls.append(len(records))
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("disk I/O error (injected)")
+            return original(records)
+
+        monkeypatch.setattr(last, name, fails_once)
+        with pytest.raises(sqlite3.OperationalError):
+            store.append_many(batch)
+        assert len(store) == 0
+        assert store.journal() == ()
+        for record in batch:
+            assert store.tail(record.object_id) is None
+        if backing == "sqlite":
+            # The tail caches match disk: a fresh connection agrees.
+            for pos, shard in enumerate(store.shards):
+                with SQLiteProvenanceStore(shard_path(tmp_path, pos)) as fresh:
+                    for record in batch:
+                        assert shard._tail(record.object_id) == fresh._tail(
+                            record.object_id
+                        )
+        store.append_many(batch)
+        assert [store.latest(r.object_id).seq_id for r in batch] == [0] * 8
+        assert all(entry.committed for entry in store.journal())
 
     def test_purge_and_space(self):
         store = make_store()

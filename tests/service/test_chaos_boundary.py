@@ -20,9 +20,12 @@ same request always lands on the same fault-site index.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
+from repro.provenance.registry import shard_index
 from repro.service import ServiceClient, ServiceHTTPError
 
 
@@ -117,6 +120,58 @@ class TestTransientStoreFaults:
             e.site == "store.append_many" and e.kind is FaultKind.ERROR
             for e in plan.events
         )
+
+
+    def test_batch_spanning_shards_retries_as_a_clean_first_write(
+        self, server_factory, tmp_path, monkeypatch
+    ):
+        """A transient error in a later shard takes back the earlier
+        shards' rows, so the collector's retry answers 200 with every seq
+        id 0 (it used to answer 400 over orphan rows)."""
+        server = server_factory(store_root=str(tmp_path))
+        client = raw_client(server)
+        ops = [{"op": "insert", "object_id": f"o{i}", "value": i} for i in range(8)]
+        shards = server.service.world("acme").store.shards
+        last = shards[max(shard_index(op["object_id"], len(shards)) for op in ops)]
+        original = last._append_many_txn
+        calls = []
+
+        def fails_once(records):
+            calls.append(len(records))
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("disk I/O error (injected)")
+            return original(records)
+
+        monkeypatch.setattr(last, "_append_many_txn", fails_once)
+        out = client.batch(ops)
+        assert len(calls) == 2
+        assert [r["seq_id"] for r in out["records"]] == [0] * 8
+        assert client.verify("o7")["ok"]
+        assert client.healthz().status == 200
+
+    def test_a_durable_batch_of_updates_stages_from_chain_tails(
+        self, server_factory, tmp_path, monkeypatch
+    ):
+        """Staging reads each object's cached chain tail, never a whole
+        record, even with cold tail caches."""
+        server = server_factory(store_root=str(tmp_path), signature_scheme="merkle-batch")
+        client = raw_client(server)
+        client.batch([{"op": "insert", "object_id": f"o{i}", "value": i} for i in range(16)])
+        world = server.service.world("acme")
+        for shard in world.store.shards:
+            shard._tail_cache.clear()
+
+        def no_latest(*args):
+            raise AssertionError("staging read a whole record")
+
+        for store in (type(world.store), type(world.store.shards[0])):
+            monkeypatch.setattr(store, "latest", no_latest)
+        out = client.batch([
+            {"op": "update", "object_id": f"o{i}", "value": -i} for i in range(16)
+        ])
+        assert [r["seq_id"] for r in out["records"]] == [1] * 16
+        monkeypatch.undo()
+        assert client.verify("o3")["ok"]
 
 
 class TestTornBatchRecovery:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import socketserver
 import threading
 import time
 
@@ -248,3 +249,43 @@ class TestUnreadableBodies:
             with sock.makefile("rb") as reply:
                 status, headers, _ = read_reply(reply)
         assert status == 408 and headers["connection"] == "close"
+
+
+class TestOneSendPerReply:
+    """A reply leaves in one send: head and body in one buffer, so the
+    handler thread gives up and wins back the GIL once per reply."""
+
+    @pytest.fixture
+    def sends(self, monkeypatch):
+        sent = []
+        write = socketserver._SocketWriter.write
+
+        def recording(writer, data):
+            sent.append(bytes(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", recording)
+        return sent
+
+    def test_a_200_is_one_send(self, server, tenant_client, sends):
+        client = tenant_client("acme")
+        client.insert("a", 1)
+        sends.clear()
+        body = client.request("GET", "/v1/provenance/a").raw
+        assert len(sends) == 1
+        assert sends[0].startswith(b"HTTP/1.1 200 ") and sends[0].endswith(body)
+
+    def test_a_refused_body_with_connection_close_is_one_send(self, server, sends):
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"POST /v1/record HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 1099511627776\r\n\r\n")
+            status, headers, body = read_reply(sock.makefile("rb"))
+        assert status == 413 and headers["connection"] == "close"
+        assert len(sends) == 1 and sends[0].endswith(body)
+
+    def test_the_prometheus_text_reply_is_one_send(self, server, admin, sends):
+        sends.clear()
+        reply = admin.request("GET", "/v1/metrics")
+        assert reply.headers["Content-Type"].startswith("text/plain")
+        assert len(sends) == 1 and sends[0].endswith(reply.raw)
