@@ -463,11 +463,7 @@ class ChecksumCollector:
         pending = self._pending.get(object_id)
         if pending is not None:
             return pending
-        tail = getattr(self.provenance_store, "tail", None)
-        if tail is not None:
-            return tail(object_id)
-        record = self.provenance_store.latest(object_id)  # duck-typed stores
-        return None if record is None else ChainTail.of(record)
+        return self.provenance_store.tail(object_id)
 
     def _finish(self, write: StagedWrite) -> Tuple[ProvenanceRecord, ...]:
         """Commit a freshly staged write, or hand it to the deferring caller."""
@@ -655,36 +651,30 @@ class ChecksumCollector:
             # safe (all-or-nothing), and exactly what the chaos suite
             # exercises.
             self.faults.maybe_raise("collector.flush")
-        append_many = getattr(self.provenance_store, "append_many", None)
-        if append_many is not None:
-            # One batch, one store transaction: a complex operation (§4.4)
-            # commits atomically, so no half-flushed batch can ever read
-            # as an R4 attack.
-            self._store_with_retry(lambda: append_many(records), unsigned, lock)
-        else:  # duck-typed stores predating the batch API
-            for record, pending in zip(records, unsigned):
-                self._store_with_retry(
-                    lambda record=record: self.provenance_store.append(record),
-                    [pending], lock,
-                )
+        # One batch, one store transaction: a complex operation (§4.4)
+        # commits atomically, so no half-flushed batch can ever read as an
+        # R4 attack.
+        self._store_with_retry(records, unsigned, lock)
 
     def _store_with_retry(
-        self, write, unsigned: Sequence[ProvenanceRecord], lock: ContextManager
+        self,
+        records: Tuple[ProvenanceRecord, ...],
+        unsigned: Sequence[ProvenanceRecord],
+        lock: ContextManager,
     ) -> None:
-        """One store write with bounded retry on transient failures.
+        """``append_many(records)`` with bounded retry on transient failures.
 
-        Each attempt holds ``lock`` and, once the write lands, settles the
+        Each attempt holds ``lock`` and, once the batch lands, settles the
         records' pending tails in the same hold; the backoff between
         attempts sleeps without it.  Safe to retry: ``append_many`` is
         all-or-nothing (the sharded store takes back the shards a failed
         batch reached, and the SQLite store drops its tail cache on
-        failure, so a retry re-reads true chain tails), and a failed
-        single ``append`` writes nothing.
+        failure, so a retry re-reads true chain tails).
         """
         for attempt in range(self.store_retries + 1):
             try:
                 with lock:
-                    write()
+                    self.provenance_store.append_many(records)
                     self._settle(unsigned)
                 return
             except TRANSIENT_STORE_ERRORS:

@@ -74,6 +74,11 @@ class ProvenanceStore(Protocol):
         """The most recent record for ``object_id``, or None."""
         ...
 
+    def tail(self, object_id: str) -> Optional["ChainTail"]:
+        """The chain tail of ``object_id`` (what staging its next record
+        needs, without reading the record), or None."""
+        ...
+
     def get(self, object_id: str, seq_id: int) -> Optional[ProvenanceRecord]:
         """The record with key ``(object_id, seq_id)``, or None."""
         ...

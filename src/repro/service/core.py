@@ -34,7 +34,10 @@ staged after it; they are rolled back, newest first, before the next
 write stages.  A verify reads only once every write staged before
 it has committed (another verify's ``VERIFY`` record, which touches
 nothing but the audit chain, excepted), and writes wait to stage until
-it has read, so its answer never depends on an uncommitted write.
+it has checked its shipment and staged its own ``VERIFY`` record, so
+its answer never depends on an uncommitted write.  A verify that
+arrives while a write waits to stage queues behind that write, so
+overlapping verifies cannot hold writes back for ever.
 
 **Isolation.**  A tenant is addressed only through its API key's tenant
 claim — there is no request surface that names another tenant's world —
@@ -159,7 +162,8 @@ class _Queued:
 
     def __init__(self, writes: List[StagedWrite], reading: bool = False):
         self.writes = writes
-        #: A verify that has not read yet: writes wait to stage behind it.
+        #: A verify that has not yet read, checked its shipment and staged
+        #: its VERIFY record: writes wait to stage while it is queued.
         self.reading = reading
         #: A verify that has read and staged only its VERIFY record.
         self.notarizes = False
@@ -246,6 +250,9 @@ class TenantWorld:
         self._queue: List[_Queued] = []
         #: Guards the queue; waiters for a turn wait on it.
         self._turns = threading.Condition()
+        #: Writes waiting to stage behind a verify; verifies that arrive
+        #: meanwhile queue behind them.
+        self._blocked = 0
         self._monitor = None
         self.witness = None
         self._anchor_path: Optional[str] = None
@@ -288,20 +295,33 @@ class TenantWorld:
     def stage(self, apply: Callable[[], T]) -> Tuple[T, _Queued]:
         """Run ``apply`` under the world lock with its commits deferred.
 
-        Waits, without the lock, while a verify that has not read yet is
-        queued, so no verify reads an uncommitted write.  Returns what
-        ``apply`` returned and the request's place in the queue.
+        Waits, without the lock, while a verify that has not staged its
+        VERIFY record yet is queued, so no verify reads an uncommitted
+        write.  While it waits, verifies that arrive queue behind it
+        (:meth:`begin_read`), so the wait ends once the verifies queued
+        before it have staged their records.  Returns what ``apply``
+        returned and the request's place in the queue.
         """
-        while True:
-            with self._turns:
-                while self._reading():
-                    self._turns.wait()
-            with self.lock:
+        blocked = False
+        try:
+            while True:
                 with self._turns:
-                    if self._reading():  # a verify queued meanwhile
-                        continue
-                result, writes = self._deferred(apply)
-                return result, self._push(writes)
+                    while self._reading():
+                        if not blocked:
+                            blocked = True
+                            self._blocked += 1
+                        self._turns.wait()
+                with self.lock:
+                    with self._turns:
+                        if self._reading():  # a verify queued meanwhile
+                            continue
+                    result, writes = self._deferred(apply)
+                    return result, self._push(writes)
+        finally:
+            if blocked:
+                with self._turns:
+                    self._blocked -= 1
+                    self._turns.notify_all()
 
     def _deferred(self, apply: Callable[[], T]) -> Tuple[T, List[StagedWrite]]:
         """Run ``apply`` (the caller holds the lock) with the collector's
@@ -319,10 +339,15 @@ class TenantWorld:
         its turn to read; no write stages until :meth:`end_read` (or
         :meth:`withdraw`).
 
-        Its turn comes when every request queued before it has committed
-        — except an earlier verify's VERIFY record, which touches nothing
-        but the audit chain, unless ``object_id`` is that chain.
+        A verify that arrives while a write waits to stage first waits,
+        without the lock, until that write has staged.  Its turn to read
+        comes when every request queued before it has committed — except
+        an earlier verify's VERIFY record, which touches nothing but the
+        audit chain, unless ``object_id`` is that chain.
         """
+        with self._turns:
+            while self._blocked:
+                self._turns.wait()
         with self.lock:
             queued = self._push([], reading=True)
         try:
@@ -343,21 +368,28 @@ class TenantWorld:
         return False
 
     def end_read(self, queued: _Queued, apply: Callable[[], object]) -> None:
-        """The verify has read: stage ``apply``'s writes as its own, under
-        the lock, and let writes stage again."""
+        """The verify has read: stage ``apply``'s writes as its own and let
+        writes stage again.
+
+        Both happen in one hold of the world lock, as :meth:`stage` stages
+        and queues, so a failing commit (:meth:`_fail`, which takes the
+        lock) sees these writes either not yet staged or queued as
+        staged, and fails them with the writes they chain on.
+        """
         with self.lock:
             _, writes = self._deferred(apply)
-        with self._turns:
-            queued.writes = writes
-            queued.reading = False
-            # An insert or update of a root object changes that object's
-            # node and chain alone (an audit chain a client nested under
-            # another object would give it an inherited record too).
-            queued.notarizes = all(
-                event.object_id == AUDIT_OBJECT and not event.ancestors
-                for write in writes for event in write.events
-            )
-            self._turns.notify_all()
+            with self._turns:
+                queued.writes = writes
+                queued.reading = False
+                # An insert or update of a root object changes that
+                # object's node and chain alone (an audit chain a client
+                # nested under another object would give it an inherited
+                # record too).
+                queued.notarizes = all(
+                    event.object_id == AUDIT_OBJECT and not event.ancestors
+                    for write in writes for event in write.events
+                )
+                self._turns.notify_all()
 
     def withdraw(self, queued: _Queued) -> None:
         """Take a request that will not commit out of the queue."""
@@ -647,9 +679,10 @@ class ProvenanceService:
 
         The verify reads once every write staged before it has committed
         (see :meth:`TenantWorld.begin_read`), and no write stages until
-        it has read, so its answer (a 404 included) never depends on an
-        uncommitted write.  The shipment is checked without the world
-        lock, and the ``VERIFY`` record is committed before this returns.
+        it has staged its ``VERIFY`` record, so its answer (a 404
+        included) never depends on an uncommitted write.  The shipment is
+        checked without the world lock, and the ``VERIFY`` record is
+        committed before this returns.
 
         The fan-out is the service's own ``ServiceConfig.workers``, never
         the caller's: a caller choosing how many processes it forks could

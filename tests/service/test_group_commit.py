@@ -10,9 +10,12 @@ What the pipeline must hold, each pinned below:
 - a verify waits for the writes staged before it (another verify's
   ``VERIFY`` record excepted, unless it verifies the audit chain), and
   its own ``VERIFY`` record is committed before it answers;
+- a write that waits for verifies to read is not overtaken by verifies
+  that arrive after it, so overlapping verifies cannot starve it;
 - a commit that fails past the retry budget fails its group and every
-  write staged after it: all answered 503, undone, nothing stored, and a
-  retry succeeds;
+  write staged after it — a ``VERIFY`` record staged while the failure
+  is under way included: all answered 503, undone, nothing stored, and
+  a retry succeeds;
 - under a stress of more threads than CPUs, with the GIL switching as
   often as it can, nothing fails, every chain is contiguous and every
   verify is ok — and no thread ever waits in the commit queue while it
@@ -27,14 +30,16 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
 from repro.core.collector import TRANSIENT_STORE_ERRORS
+from repro.core.shipment import Shipment
 from repro.crypto.signatures import MerkleBatchSignatureScheme
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.service import AUDIT_OBJECT, ProvenanceService, ServiceClient, signers
+from repro.service.core import TenantWorld
 from repro.service.signers import PooledRSASignatureScheme
 
 from tests.service.conftest import make_config
@@ -261,6 +266,48 @@ def test_a_verify_reads_while_another_verifys_record_commits(monkeypatch):
         service.close()
 
 
+def test_overlapping_verifies_do_not_starve_a_write(monkeypatch):
+    """Two verifiers in a loop keep a verify reading at every moment (the
+    next one queues while the last one checks its shipment); a write that
+    arrives must still stage once the verifies queued before it have."""
+    original = Shipment.verify
+
+    def slow_verify(shipment, *args, **kwargs):
+        time.sleep(0.02)
+        return original(shipment, *args, **kwargs)
+
+    monkeypatch.setattr(Shipment, "verify", slow_verify)
+    service = ProvenanceService(make_config())
+    stop = threading.Event()
+    try:
+        service.record(TENANT, "insert", "a", 1)
+        world = service.world(TENANT)
+        deadline = time.monotonic() + TIMEOUT
+
+        def verifier() -> int:
+            rounds = 0
+            while not stop.is_set() and time.monotonic() < deadline:
+                assert service.verify(TENANT, "a")["ok"]
+                rounds += 1
+            return rounds
+
+        with ThreadPoolExecutor(3) as pool:
+            verifiers = [in_thread(pool, verifier) for _ in range(2)]
+            wait_for(lambda: len(world._queue) == 2, "two verifies to overlap")
+            update = in_thread(pool, service.record, TENANT, "update", "a", 2)
+            try:
+                done, _ = wait([update], timeout=5.0)
+                assert done, "the write waited 5 s behind verifies that came after it"
+            finally:
+                stop.set()
+            assert update.result(TIMEOUT)["records"][0]["seq_id"] == 1
+            assert all(v.result(TIMEOUT) > 0 for v in verifiers)
+        assert service.verify(TENANT, "a")["records_checked"] == 2
+    finally:
+        stop.set()
+        service.close()
+
+
 # ----------------------------------------------------------------------
 # a failed commit
 # ----------------------------------------------------------------------
@@ -315,6 +362,97 @@ def test_failed_commit_fails_its_group_and_every_later_write(monkeypatch, server
             assert client.healthz().status == 200
     finally:
         hold.release()
+
+
+class PausingTurns(threading.Condition):
+    """A commit-queue condition that holds one thread, the next time it
+    enters it after :meth:`arm`, until :meth:`resume`."""
+
+    def __init__(self):
+        super().__init__()
+        self.thread = None
+        self.paused = threading.Event()
+        self.resumed = threading.Event()
+
+    def arm(self) -> None:
+        self.thread = threading.current_thread()
+
+    def __enter__(self):
+        if self.thread is threading.current_thread():
+            self.thread = None
+            self.paused.set()
+            assert self.resumed.wait(TIMEOUT), "never resumed"
+        return super().__enter__()
+
+    def resume(self) -> None:
+        self.resumed.set()
+
+
+@pytest.mark.parametrize("earlier_verifies", (0, 1), ids=("insert", "update"))
+def test_a_verify_record_staged_during_a_failing_commit_fails_with_it(
+    monkeypatch, earlier_verifies
+):
+    """The second verify stages its ``VERIFY`` record on the pending
+    record of the first, whose commit then fails past its retries.  The
+    second record chains on the failed one, so it must fail and be undone
+    with it — even when the failure comes between staging the record and
+    queueing it."""
+    failing_commit = 2 + earlier_verifies  # after the inserts and verifies
+    plan = FaultPlan(seed=3, rules=(FaultRule(
+        site="store.append_many", kind=FaultKind.ERROR,
+        indices=frozenset(range(failing_commit, failing_commit + 3)),
+    ),))
+    hold = Hold(monkeypatch)
+    pause = threading.Event()
+    original = TenantWorld._deferred
+    service = pooled_service(monkeypatch, faults=plan, retry_backoff=0.0)
+    world = service.world(TENANT)
+    world._turns = turns = PausingTurns()
+
+    def deferred(world, apply):
+        result = original(world, apply)
+        if pause.is_set():  # the second verify staged its record
+            pause.clear()
+            turns.arm()  # hold it where it next enters the queue
+        return result
+
+    monkeypatch.setattr(TenantWorld, "_deferred", deferred)
+    try:
+        service.record(TENANT, "insert", "a", 1)
+        service.record(TENANT, "insert", "b", 2)
+        for _ in range(earlier_verifies):
+            assert service.verify(TENANT, "a")["ok"]
+        hold.arm()
+        with ThreadPoolExecutor(2) as pool:
+            first = in_thread(pool, service.verify, TENANT, "a")
+            hold.wait_held()  # the first verify's VERIFY record
+            pause.set()
+            second = in_thread(pool, service.verify, TENANT, "b")
+            assert turns.paused.wait(TIMEOUT), "the second verify never staged"
+            hold.release()
+            # The first commit fails and takes the world lock to roll back;
+            # let it run as far as it can while the second verify is held.
+            wait([first], timeout=1.0)
+            turns.resume()
+            for future in (first, second):
+                with pytest.raises(TRANSIENT_STORE_ERRORS):
+                    future.result(TIMEOUT)
+        # Both records undone, newest first; neither stored.
+        assert len(world._queue) == 0
+        stored = [r.seq_id for r in world.store.records_for(AUDIT_OBJECT)]
+        assert stored == list(range(earlier_verifies))
+        assert (AUDIT_OBJECT in world.db.store) == bool(earlier_verifies)
+        # The audit chain's engine state matches its stored tail, so the
+        # next VERIFY record stages and the chain verifies.
+        assert service.verify(TENANT, "a")["ok"]
+        report = service.verify(TENANT, AUDIT_OBJECT)
+        assert report["ok"] and report["records_checked"] == earlier_verifies + 1
+        payload, tampered = service.healthz(full=True)
+        assert not tampered and payload["health"] == "ok"
+    finally:
+        turns.resume()
+        hold.release()
+        service.close()
 
 
 def test_a_failed_commit_in_process_raises_a_transient_error(monkeypatch):
