@@ -155,9 +155,10 @@ class ChecksumCollector:
         self.retry_backoff = retry_backoff
         self.faults = faults
         #: Chain tails of records staged and not yet committed, by object
-        #: id; their checksums are ``_Unsigned`` markers.  Staging chains
-        #: on these before the store's own tails.
-        self._pending: Dict[str, ChainTail] = {}
+        #: id, in staging order; their checksums are ``_Unsigned`` markers.
+        #: Staging chains on an object's newest before the store's tail.
+        #: Commits take tails off the front, rollbacks off the back.
+        self._pending: Dict[str, List[ChainTail]] = {}
         #: The writes staged inside :meth:`deferring`; None commits each
         #: write as soon as it is staged.
         self._deferred: Optional[List[StagedWrite]] = None
@@ -455,14 +456,14 @@ class ChecksumCollector:
         """
         staged = record.with_checksum(_Unsigned())
         write.staged.append((staged, prev_checksums))
-        self._pending[staged.object_id] = ChainTail.of(staged)
+        self._pending.setdefault(staged.object_id, []).append(ChainTail.of(staged))
         return staged
 
     def _latest(self, object_id: str) -> Optional[ChainTail]:
         """An object's chain tail, staged records included."""
         pending = self._pending.get(object_id)
-        if pending is not None:
-            return pending
+        if pending:
+            return pending[-1]
         return self.provenance_store.tail(object_id)
 
     def _finish(self, write: StagedWrite) -> Tuple[ProvenanceRecord, ...]:
@@ -479,17 +480,24 @@ class ChecksumCollector:
     def abandon(self, writes: Sequence[StagedWrite]) -> None:
         """Forget the pending tails of writes that will never commit.
 
-        The writes' engine effects are the caller's to revert; staging
-        afterwards chains on the store's tails again.
+        The writes' engine effects are the caller's to revert.  Staging
+        afterwards chains on what is left: the pending tails of earlier
+        writes still to commit, or the store's tails.
         """
         for write in writes:
             self._settle(write.unsigned())
 
     def _settle(self, unsigned: Sequence[ProvenanceRecord]) -> None:
-        """Drop the pending tails that are still these records'."""
+        """Drop these records' pending tails (stored, or never to be)."""
         for record in unsigned:
-            tail = self._pending.get(record.object_id)
-            if tail is not None and tail.checksum is record.checksum:
+            tails = self._pending.get(record.object_id)
+            if tails is None:
+                continue
+            for at, tail in enumerate(tails):
+                if tail.checksum is record.checksum:
+                    del tails[at]
+                    break
+            if not tails:
                 del self._pending[record.object_id]
 
     # ------------------------------------------------------------------

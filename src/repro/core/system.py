@@ -213,7 +213,8 @@ class TamperEvidentDatabase:
         staged after the first of them.  Each write's engine events are
         reverted and the hash-cache state they refreshed evicted, and the
         collector forgets their pending chain tails, so the next write
-        stages on committed state only.
+        chains on the earlier writes still to commit, or on committed
+        state.
         """
         self.collector.abandon(writes)
         for write in reversed(writes):

@@ -37,6 +37,7 @@ import pytest
 from repro.core.collector import TRANSIENT_STORE_ERRORS
 from repro.core.shipment import Shipment
 from repro.crypto.signatures import MerkleBatchSignatureScheme
+from repro.exceptions import TransientStoreError
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.service import AUDIT_OBJECT, ProvenanceService, ServiceClient, signers
 from repro.service.core import TenantWorld
@@ -451,6 +452,50 @@ def test_a_verify_record_staged_during_a_failing_commit_fails_with_it(
         assert not tampered and payload["health"] == "ok"
     finally:
         turns.resume()
+        hold.release()
+        service.close()
+
+
+def test_a_write_that_fails_to_stage_leaves_earlier_pending_writes_chained(monkeypatch):
+    """A batch stages its update of ``x`` on the pending update of an
+    earlier request, then fails to stage ``y`` (a transient store read
+    error).  Undoing the batch must leave ``x`` chained on that earlier,
+    still uncommitted update, so the next update of ``x`` stages on it."""
+    hold = Hold(monkeypatch)
+    service = pooled_service(monkeypatch)
+    try:
+        service.record(TENANT, "insert", "x", 0)
+        service.record(TENANT, "insert", "y", 0)
+        world = service.world(TENANT)
+        tail = world.store.tail
+        failed = []
+
+        def failing_tail(object_id):
+            if object_id == "y" and not failed:
+                failed.append(object_id)
+                raise TransientStoreError("injected read error")
+            return tail(object_id)
+
+        monkeypatch.setattr(world.store, "tail", failing_tail)
+        hold.arm()
+        with ThreadPoolExecutor(2) as pool:
+            first = in_thread(pool, service.record, TENANT, "update", "x", 1)
+            hold.wait_held()  # its commit is signing
+            with pytest.raises(TransientStoreError):
+                service.batch(TENANT, [
+                    {"op": "update", "object_id": "x", "value": 2},
+                    {"op": "update", "object_id": "y", "value": 2},
+                ])
+            assert failed == ["y"]
+            later = in_thread(pool, service.record, TENANT, "update", "x", 3)
+            wait_for(lambda: len(world._queue) == 2 or later.done(), "the update to stage")
+            hold.release()
+            assert first.result(TIMEOUT)["records"][0]["seq_id"] == 1
+            assert later.result(TIMEOUT)["records"][0]["seq_id"] == 2
+        assert [r.seq_id for r in world.store.records_for("x")] == [0, 1, 2]
+        assert [r.seq_id for r in world.store.records_for("y")] == [0]
+        assert service.verify(TENANT, "x")["ok"] and service.verify(TENANT, "y")["ok"]
+    finally:
         hold.release()
         service.close()
 
