@@ -16,6 +16,8 @@ What the pipeline must hold, each pinned below:
   write staged after it — a ``VERIFY`` record staged while the failure
   is under way included: all answered 503, undone, nothing stored, and
   a retry succeeds;
+- a write that fails while staging is undone without unchaining the
+  earlier writes still to commit;
 - under a stress of more threads than CPUs, with the GIL switching as
   often as it can, nothing fails, every chain is contiguous and every
   verify is ok — and no thread ever waits in the commit queue while it
