@@ -51,12 +51,14 @@ def parse_value(text: Optional[str]) -> Value:
     return text
 
 
-def _add_scheme(p) -> None:
+def _add_scheme(p, default: Optional[str] = "rsa") -> None:
+    """``--scheme``; ``default=None`` leaves the choice to ``ServiceConfig``."""
     from repro.crypto.pki import SCHEME_ALIASES
 
-    p.add_argument("--scheme", choices=tuple(SCHEME_ALIASES), default="rsa",
+    p.add_argument("--scheme", choices=tuple(SCHEME_ALIASES), default=default,
                    help="record signature scheme (merkle-batch signs one "
-                        "Merkle root per flush instead of every record)")
+                        "Merkle root per flush instead of every record; "
+                        f"default: {default or 'the service default, merkle-batch'})")
 
 
 def _add_synthetic_world(p) -> None:
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for per-tenant key generation")
     p.add_argument("--key-bits", type=int, default=1024)
-    _add_scheme(p)
+    _add_scheme(p, default=None)
     p.add_argument("--shards", type=int, default=4,
                    help="provenance shards per tenant")
     p.add_argument("--store-root", default=None, metavar="DIR",
@@ -1162,15 +1164,16 @@ def _cmd_serve(args) -> int:
         sinks.append(FileAlertSink(args.alert_log))
     if args.alert_webhook:
         sinks.append(WebhookAlertSink(args.alert_webhook))
+    scheme = {} if args.scheme is None else {"signature_scheme": args.scheme}
     config = ServiceConfig(
         seed=args.seed,
         key_bits=args.key_bits,
-        signature_scheme=args.scheme,
         shards=args.shards,
         store_root=args.store_root,
         witness=args.witness,
         monitor_interval=args.monitor_interval,
         alert_sinks=tuple(sinks),
+        **scheme,
     )
     server = ProvenanceHTTPServer(
         config=config, host=args.host, port=args.port,

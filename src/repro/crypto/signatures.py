@@ -261,6 +261,13 @@ class MerkleBatchSignatureScheme:
         """Leaves signed but not yet sealed on this thread."""
         return len(self._pending)
 
+    def resume_after(self, epoch: Optional[int]) -> None:
+        """Seal later batches under epochs after ``epoch`` (the largest
+        one already stored), so epochs stay monotone across a restart."""
+        if epoch is not None:
+            with self._epoch_lock:
+                self._next_epoch = max(self._next_epoch, epoch + 1)
+
     def sign(self, message: bytes) -> bytes:
         """Stage one leaf; returns the leaf digest (the record checksum)."""
         batch_leaf, _, _, _ = _batch_merkle()

@@ -128,6 +128,9 @@ class FaultyStore:
     def space_bytes(self) -> int:
         return self.inner.space_bytes()
 
+    def max_epoch(self, participant_id: str) -> Optional[int]:
+        return self.inner.max_epoch(participant_id)
+
     def purge_object(self, object_id: str) -> int:
         return self.inner.purge_object(object_id)
 

@@ -159,6 +159,10 @@ class ShardedProvenanceStore:
     def space_bytes(self) -> int:
         return sum(shard.space_bytes() for shard in self.shards)
 
+    def max_epoch(self, participant_id: str) -> Optional[int]:
+        epochs = [shard.max_epoch(participant_id) for shard in self.shards]
+        return max((epoch for epoch in epochs if epoch is not None), default=None)
+
     def purge_object(self, object_id: str) -> int:
         return self._shard_for(object_id).purge_object(object_id)
 

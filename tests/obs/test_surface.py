@@ -115,7 +115,10 @@ def _service_surface() -> Dict[str, object]:
     from repro.service import ProvenanceHTTPServer, ServiceClient, ServiceConfig
 
     log = _observe_all()
-    server = ProvenanceHTTPServer(config=ServiceConfig(seed=11, key_bits=512))
+    # The fixture pins the per-record RSA service surface.
+    server = ProvenanceHTTPServer(
+        config=ServiceConfig(seed=11, key_bits=512, signature_scheme="rsa-per-record")
+    )
     server.start_background()
     try:
         admin = ServiceClient(server.base_url, token=server.service.admin_token)

@@ -1,21 +1,25 @@
-"""Served per-record RSA in signer helper processes.
+"""Served RSA signatures in signer helper processes.
 
 The helpers must change where a signature is computed and nothing else:
 
 - a helper's permutation is ``RSAPrivateKey.decrypt_int``, edge values
   included, and the helper imports nothing from ``repro``;
-- a service world stores the same bytes with the pool on and off, for
-  single records, a 50-op batch, an aggregate over bootstrapped inputs
-  and a bootstrap followed by an update (the last two chain on a
-  checksum staged in the same flush);
-- each record still counts one ``crypto.sign.count`` and one ``rsa.sign``;
+- a service world stores the same bytes with the pool on and off, under
+  per-record RSA and under Merkle-batch root seals, for single records,
+  a 50-op batch, an aggregate over bootstrapped inputs and a bootstrap
+  followed by an update (the last two chain on a checksum staged in the
+  same flush);
+- each per-record RSA record, or each Merkle-batch commit, counts one
+  RSA ``crypto.sign.count`` and one ``rsa.sign``;
 - a killed helper costs a degraded chunk, signed in-process, not a
   failed write; closing the service or its HTTP server, or killing the
   process that started them, leaves no helper running;
 - a crash between signing and storing still loses the whole batch.
 
 "Pool on" patches the usable CPU count to 2 and "pool off" to 1, so
-both paths run on any host.
+both paths run on any host.  Tests of how per-record signatures spread
+over the helpers pin ``rsa-per-record``; a Merkle-batch commit signs one
+root in one helper.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from repro.service.signers import PooledRSASignatureScheme, SignerPool
 from tests.service.conftest import make_config
 
 TENANT = "acme"
+#: The served per-record RSA world, whose records spread over every helper.
+PER_RECORD = {"signature_scheme": "rsa-per-record"}
 
 
 def build(monkeypatch, cpus: int, **overrides) -> ProvenanceService:
@@ -213,9 +219,17 @@ def transcript(service, flow) -> bytes:
     return canonical_json({"responses": responses, "records": records})
 
 
-@pytest.mark.parametrize("flow", sorted(FLOWS))
-def test_pool_on_and_off_store_the_same_bytes(monkeypatch, flow):
-    with pooled_and_plain(monkeypatch) as (on, off):
+def flows_under_both_schemes():
+    """Each flow on the served default, Merkle-batch (named by the flow
+    alone), and on per-record RSA."""
+    for flow in sorted(FLOWS):
+        yield pytest.param(flow, {}, id=flow)
+        yield pytest.param(flow, PER_RECORD, id=f"{flow}-rsa-per-record")
+
+
+@pytest.mark.parametrize("flow, scheme", flows_under_both_schemes())
+def test_pool_on_and_off_store_the_same_bytes(monkeypatch, flow, scheme):
+    with pooled_and_plain(monkeypatch, **scheme) as (on, off):
         assert transcript(on, FLOWS[flow]) == transcript(off, FLOWS[flow])
         assert on.signers.pids(), "the pooled world signed nothing in a helper"
         assert on.signers.degraded_chunks == 0
@@ -251,26 +265,41 @@ def test_chained_records_wait_for_their_predecessor():
     assert db.verify("agg").ok and db.verify("legacy").ok
 
 
+def rsa_signs(service, flows) -> int:
+    """RSA signatures counted (``crypto.sign.count`` and ``rsa.sign``,
+    which must agree) while ``flows`` run on ``service``."""
+    obs.enable(reset=True)
+    obs.enable_profile(reset=True)
+    try:
+        for flow in flows:
+            flow(service)
+        signed = obs.snapshot()["counters"]["crypto.sign.count{scheme=rsa-pkcs1v15}"]
+        assert obs.OBS.profiler.snapshot()["rsa.sign"]["calls"] == signed
+        return signed
+    finally:
+        obs.disable_profile()
+        obs.disable(reset=True)
+
+
 def test_sign_counts_still_equal_records_signed(monkeypatch):
-    counts = []
-    with pooled_and_plain(monkeypatch) as (on, off):
+    with pooled_and_plain(monkeypatch, **PER_RECORD) as (on, off):
         for service in (on, off):
-            obs.enable(reset=True)
-            obs.enable_profile(reset=True)
-            try:
-                batch_of_50(service)
-                single_records(service)
-                signed = obs.snapshot()["counters"]["crypto.sign.count{scheme=rsa-pkcs1v15}"]
-                calls = obs.OBS.profiler.snapshot()["rsa.sign"]["calls"]
-            finally:
-                obs.disable_profile()
-                obs.disable(reset=True)
+            signed = rsa_signs(service, (batch_of_50, single_records))
             records = len(list(service.world(TENANT).store.all_records()))
             assert records == 50 + 8
             # One CA signature for the tenant's certificate.
-            assert signed == calls == records + 1
-            counts.append(signed)
-    assert counts[0] == counts[1]
+            assert signed == records + 1
+
+
+def test_a_merkle_batch_commit_signs_one_root(monkeypatch):
+    """The served default: one RSA signature per commit, not per record."""
+    with pooled_and_plain(monkeypatch) as (on, off):
+        for service in (on, off):
+            signed = rsa_signs(service, (batch_of_50, single_records))
+            # One batch and seven single-record requests, plus the CA's
+            # signature on the tenant's certificate.
+            assert signed == 1 + 7 + 1
+            assert len(list(service.world(TENANT).store.all_records())) == 50 + 8
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +308,7 @@ def test_sign_counts_still_equal_records_signed(monkeypatch):
 
 
 def test_a_killed_helper_degrades_to_in_process_signing(monkeypatch):
-    with pooled_and_plain(monkeypatch) as (on, off):
+    with pooled_and_plain(monkeypatch, **PER_RECORD) as (on, off):
         obs.enable(reset=True)
         try:
             for service in (on, off):
@@ -304,7 +333,7 @@ def test_a_killed_helper_degrades_to_in_process_signing(monkeypatch):
 
 
 def test_close_leaves_no_helper_alive(monkeypatch):
-    service = build(monkeypatch, 2)
+    service = build(monkeypatch, 2, **PER_RECORD)
     batch_of_50(service)
     pids = service.signers.pids()
     assert len(pids) == 2
@@ -317,7 +346,7 @@ def test_close_leaves_no_helper_alive(monkeypatch):
 
 def test_http_server_stop_leaves_no_helper_alive(monkeypatch):
     monkeypatch.setattr(signers, "usable_cpus", lambda: 2)
-    server = ProvenanceHTTPServer(config=make_config())
+    server = ProvenanceHTTPServer(config=make_config(**PER_RECORD))
     server.start_background()
     try:
         with ServiceClient(server.base_url, token=server.service.admin_token) as admin:
@@ -366,7 +395,7 @@ def test_flush_crash_still_loses_the_whole_signed_batch(monkeypatch):
     plan = FaultPlan(seed=3, rules=(FaultRule(
         site="collector.flush", kind=FaultKind.CRASH, indices=frozenset({1}),
     ),))
-    service = build(monkeypatch, 2, faults=plan)
+    service = build(monkeypatch, 2, faults=plan, **PER_RECORD)
     try:
         service.record(TENANT, "insert", "a", 1)                      # flush 0
         ops = [{"op": "insert", "object_id": f"c{i}", "value": i} for i in range(6)]
