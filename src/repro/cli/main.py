@@ -51,14 +51,14 @@ def parse_value(text: Optional[str]) -> Value:
     return text
 
 
-def _add_scheme(p, default: Optional[str] = "rsa") -> None:
-    """``--scheme``; ``default=None`` leaves the choice to ``ServiceConfig``."""
+def _add_scheme(p) -> None:
+    """``--scheme``: per-record RSA (the paper's) or Merkle-batch."""
     from repro.crypto.pki import SCHEME_ALIASES
 
-    p.add_argument("--scheme", choices=tuple(SCHEME_ALIASES), default=default,
+    p.add_argument("--scheme", choices=tuple(SCHEME_ALIASES), default="rsa",
                    help="record signature scheme (merkle-batch signs one "
                         "Merkle root per flush instead of every record; "
-                        f"default: {default or 'the service default, merkle-batch'})")
+                        "default: rsa)")
 
 
 def _add_synthetic_world(p) -> None:
@@ -381,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for per-tenant key generation")
     p.add_argument("--key-bits", type=int, default=1024)
-    _add_scheme(p, default=None)
+    p.add_argument("--scheme", choices=("merkle-batch",), default="merkle-batch",
+                   help="record signature scheme; the service signs one "
+                        "Merkle root per commit (the only choice)")
     p.add_argument("--shards", type=int, default=4,
                    help="provenance shards per tenant")
     p.add_argument("--store-root", default=None, metavar="DIR",
@@ -1164,7 +1166,6 @@ def _cmd_serve(args) -> int:
         sinks.append(FileAlertSink(args.alert_log))
     if args.alert_webhook:
         sinks.append(WebhookAlertSink(args.alert_webhook))
-    scheme = {} if args.scheme is None else {"signature_scheme": args.scheme}
     config = ServiceConfig(
         seed=args.seed,
         key_bits=args.key_bits,
@@ -1173,7 +1174,6 @@ def _cmd_serve(args) -> int:
         witness=args.witness,
         monitor_interval=args.monitor_interval,
         alert_sinks=tuple(sinks),
-        **scheme,
     )
     server = ProvenanceHTTPServer(
         config=config, host=args.host, port=args.port,
@@ -1183,7 +1183,7 @@ def _cmd_serve(args) -> int:
         print(json.dumps({
             "url": server.base_url,
             "admin_token": server.service.admin_token,
-            "scheme": config.resolved_scheme(),
+            "scheme": args.scheme,
             "shards": config.shards,
             "store_root": config.store_root,
             "monitor_interval": config.monitor_interval,

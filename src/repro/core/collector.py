@@ -4,8 +4,8 @@
 records: it assigns sequence ids (§2.1's rules), propagates *inherited*
 records to every surviving ancestor of a modified object (§4.2), builds
 the checksum payloads of §3/§4.3, obtains the acting participant's
-signatures (a flush's independent records in one call), and appends the
-records to the provenance store.
+signatures, in staging order, and appends the records to the provenance
+store.
 
 Chains are local per object (§3.2): each record's predecessor checksum is
 looked up from that object's chain tail only, so independent objects
@@ -576,39 +576,23 @@ class ChecksumCollector:
     ) -> Tuple[ProvenanceRecord, ...]:
         """Sign staged records, in staging order.
 
-        Each run of consecutive records whose predecessors are all signed
-        goes to the participant in one ``sign_many`` call, which a signer
-        pool spreads over its helpers.  A record that chains on a record
-        of the current run (an update after its bootstrap genesis, an
-        aggregate over bootstrapped inputs, a later request's update of
-        an object an earlier one wrote) starts the next run, so it waits
-        for that signature.
+        A record that chains on one staged before it (an update after its
+        bootstrap genesis, an aggregate over bootstrapped inputs, a later
+        request's update of an object an earlier one wrote) is signed
+        over that record's checksum, which this loop has set by then.
         """
         signed: List[ProvenanceRecord] = []
-        start = 0
-        while start < len(staged):
-            end = start + 1
-            while end < len(staged) and not any(
-                isinstance(prev, _Unsigned) and prev.value is None
-                for prev in staged[end][1]
-            ):
-                end += 1
-            run = staged[start:end]
-            messages = []
-            for record, prevs in run:
-                resolved = tuple(
-                    prev.value if isinstance(prev, _Unsigned) else prev
-                    for prev in prevs
+        for record, prevs in staged:
+            resolved = tuple(
+                prev.value if isinstance(prev, _Unsigned) else prev for prev in prevs
+            )
+            if None in resolved:
+                raise ProvenanceError(
+                    f"record {record.key} chains on a record no commit signed"
                 )
-                if None in resolved:
-                    raise ProvenanceError(
-                        f"record {record.key} chains on a record no commit signed"
-                    )
-                messages.append(payloads.record_payload(record, resolved))
-            for (record, _), checksum in zip(run, participant.sign_many(messages)):
-                record.checksum.value = checksum
-                signed.append(record.with_checksum(checksum))
-            start = end
+            checksum = participant.sign(payloads.record_payload(record, resolved))
+            record.checksum.value = checksum
+            signed.append(record.with_checksum(checksum))
         return tuple(signed)
 
     @staticmethod

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.keys import public_key_from_dict, public_key_to_dict
 from repro.crypto.rsa import RSAPublicKey, generate_keypair
@@ -434,18 +434,6 @@ class Participant:
     def sign(self, message: bytes) -> bytes:
         """Sign ``message`` with this participant's secret key."""
         return self.scheme.sign(message)
-
-    def sign_many(self, messages: Sequence[bytes]) -> List[bytes]:
-        """Sign independent messages: the same bytes as :meth:`sign` on each.
-
-        A scheme with its own ``sign_many`` (the service's pooled RSA,
-        which signs them in parallel) gets two or more in one call; one
-        message, or any other scheme, goes through :meth:`sign`.
-        """
-        sign_many = getattr(self.scheme, "sign_many", None)
-        if sign_many is None or len(messages) == 1:
-            return [self.sign(message) for message in messages]
-        return sign_many(messages)
 
     @property
     def signature_size(self) -> int:

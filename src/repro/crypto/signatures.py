@@ -179,8 +179,11 @@ class RSASignatureScheme:
             OBS.registry.counter("crypto.sign.count", scheme=self.scheme_name).inc()
         k = self.private_key.byte_size
         em = pkcs1.encode(message, k, self.hash_algorithm)
-        m = int.from_bytes(em, "big")
-        return self.private_key.decrypt_int(m).to_bytes(k, "big")
+        return self._permute(int.from_bytes(em, "big")).to_bytes(k, "big")
+
+    def _permute(self, m: int) -> int:
+        """The private-key permutation (the service computes it in a helper)."""
+        return self.private_key.decrypt_int(m)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Verify with the embedded public key."""
@@ -223,11 +226,10 @@ class MerkleBatchSignatureScheme:
     while the epoch counter is shared under a lock so concurrent commits
     never reuse an epoch.
 
-    :attr:`root_signer` is the per-record RSA scheme that signs each
-    root.  The service swaps in one that computes the signature in its
-    signer pool (:class:`repro.service.signers.PooledRSASignatureScheme`,
-    the same bytes), so a seal that covers several requests' records
-    waits with the GIL released.
+    :attr:`root_signer` is the RSA scheme that signs each root.  The
+    service swaps in one that computes the signature in its signer pool
+    (:class:`repro.service.signers.PooledRSASignatureScheme`, the same
+    bytes), so a served commit's one seal waits with the GIL released.
     """
 
     scheme_name = MERKLE_BATCH_SCHEME

@@ -19,7 +19,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _KEY_RE = re.compile(r"^(?P<name>[^{]+)(?:\{(?P<labels>.*)\})?$", re.DOTALL)
 
 
-def _split_key(key: str) -> Tuple[str, List[Tuple[str, str]]]:
+def _parse_key(key: str) -> Tuple[str, List[Tuple[str, str]]]:
     """Split a snapshot key ``name{k=v,...}`` into (name, label pairs)."""
     match = _KEY_RE.match(key)
     if match is None:  # defensive: snapshot keys are generated, not parsed
@@ -64,19 +64,19 @@ def to_prometheus(snapshot: Dict[str, Dict[str, object]]) -> str:
             lines.append(f"# TYPE {prom} {kind}")
 
     for key, value in snapshot.get("counters", {}).items():
-        name, labels = _split_key(key)
+        name, labels = _parse_key(key)
         prom = _prom_name(name, "_total")
         declare(prom, "counter")
         lines.append(f"{prom}{_prom_labels(labels)} {value}")
 
     for key, value in snapshot.get("gauges", {}).items():
-        name, labels = _split_key(key)
+        name, labels = _parse_key(key)
         prom = _prom_name(name)
         declare(prom, "gauge")
         lines.append(f"{prom}{_prom_labels(labels)} {value}")
 
     for key, summary in snapshot.get("histograms", {}).items():
-        name, labels = _split_key(key)
+        name, labels = _parse_key(key)
         prom = _prom_name(name)
         declare(prom, "summary")
         for q, field in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):

@@ -87,7 +87,7 @@ class ShardedProvenanceStore:
     def _decode_batch_id(self, batch_id: int) -> Tuple[int, int]:
         return batch_id % len(self.shards), batch_id // len(self.shards)
 
-    def _split(
+    def _by_shard(
         self, batch: List[ProvenanceRecord]
     ) -> Dict[int, List[ProvenanceRecord]]:
         """Group a batch by shard position, preserving batch order."""
@@ -113,7 +113,7 @@ class ShardedProvenanceStore:
         _check_batch(batch, self._tail)
         committed: List[Tuple[int, int]] = []
         try:
-            for pos, group in sorted(self._split(batch).items()):
+            for pos, group in sorted(self._by_shard(batch).items()):
                 committed.append((pos, self.shards[pos].append_many(group)))
         except Exception:
             # All-or-nothing across shards: take back what the earlier
@@ -203,7 +203,7 @@ class ShardedProvenanceStore:
         keep = max(0, min(len(batch), keep))
         kept_keys = {record.key for record in batch[:keep]}
         torn_ids: List[int] = []
-        for pos, group in sorted(self._split(batch).items()):
+        for pos, group in sorted(self._by_shard(batch).items()):
             shard_keep = sum(1 for record in group if record.key in kept_keys)
             inner = self.shards[pos].begin_torn_batch(group, shard_keep)
             torn_ids.append(self._encode_batch_id(pos, inner))

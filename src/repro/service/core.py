@@ -16,28 +16,27 @@ relative to other tenants or on request interleaving across tenants.
 That is what makes a served world byte-identical to a same-seed
 in-process reference world (the equivalence suite), and per-object
 responses byte-identical even under concurrent multi-tenant load (chains
-are local per object, §3.2).  One thing does depend on timing: under
-Merkle-batch signing, which concurrent requests of a tenant share a
-commit decides the stored epochs and inclusion proofs.  Replies and
-record checksums do not depend on it.
+are local per object, §3.2).  One thing does depend on timing: which
+concurrent requests of a tenant share a commit decides the stored epochs
+and inclusion proofs.  Replies and record checksums do not depend on it.
 
 **Group commit.**  A write is *staged* under the tenant's world lock
 (engine operations applied, records built unsigned and chained) and
 *committed* outside it, in staging order, on the requests' own threads:
-the records are signed (through the signer pool, or leaf-hashed and
-sealed under one Merkle root signature) and appended in one store batch
-under a brief retake of the lock.  The request at the head of the queue
-commits every request staged before its commit began, so concurrent
-writes share one seal and one store transaction while each reply carries
-only its own records.  A failed commit fails its group and every write
-staged after it; they are rolled back, newest first, before the next
-write stages.  A verify reads only once every write staged before
-it has committed (another verify's ``VERIFY`` record, which touches
-nothing but the audit chain, excepted), and writes wait to stage until
-it has checked its shipment and staged its own ``VERIFY`` record, so
-its answer never depends on an uncommitted write.  A verify that
-arrives while a write waits to stage queues behind that write, so
-overlapping verifies cannot hold writes back for ever.
+the records are leaf-hashed, sealed under one Merkle root signature
+(computed in the signer pool when there is one) and appended in one
+store batch under a brief retake of the lock.  The request at the head
+of the queue commits every request staged before its commit began, so
+concurrent writes share one seal and one store transaction while each
+reply carries only its own records.  A failed commit fails its group
+and every write staged after it; they are rolled back, newest first,
+before the next write stages.  A verify reads only once every write
+staged before it has committed (another verify's ``VERIFY`` record,
+which touches nothing but the audit chain, excepted), and writes wait
+to stage until it has checked its shipment and staged its own
+``VERIFY`` record, so its answer never depends on an uncommitted write.
+A verify that arrives while a write waits to stage queues behind that
+write, so overlapping verifies cannot hold writes back for ever.
 
 **Isolation.**  A tenant is addressed only through its API key's tenant
 claim — there is no request surface that names another tenant's world —
@@ -64,8 +63,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.core.collector import StagedWrite
 from repro.core.system import ParticipantSession, TamperEvidentDatabase
-from repro.crypto.pki import CertificateAuthority, KeyStore, resolve_scheme_name
-from repro.crypto.signatures import MerkleBatchSignatureScheme, RSASignatureScheme
+from repro.crypto.pki import CertificateAuthority, KeyStore
+from repro.crypto.signatures import MERKLE_BATCH_SCHEME
 from repro.exceptions import (
     ReproError,
     ServiceError,
@@ -110,20 +109,13 @@ class ServiceConfig:
 
     seed: int = 0
     key_bits: int = 1024
-    #: Served records are Merkle-batch signed: a commit costs one root
-    #: signature, however many records it holds (DESIGN.md §10).  The
-    #: library and the offline CLI keep the paper's per-record RSA.
-    signature_scheme: str = "merkle-batch"
-    hash_algorithm: str = "sha1"
     #: Provenance shards per tenant.
     shards: int = 4
     #: Directory for SQLite shard files; None keeps every store in memory.
     store_root: Optional[str] = None
-    #: Collector retry budget for transient store errors.
-    store_retries: int = 2
+    #: Seconds before the collector's first retry of a transient store
+    #: error (doubling each retry).
     retry_backoff: float = 0.002
-    #: Watermark-lag alert threshold for /healthz monitors.
-    lag_threshold: int = 1 << 30
     #: Per-tenant witness anchoring: each tenant world gets its own
     #: notary (seeded from ``(seed, tenant_id)``) whose anchor log the
     #: healthz monitors check, so even a full insider rewrite of a
@@ -143,9 +135,6 @@ class ServiceConfig:
     #: background monitor (excluded from config equality: sinks are
     #: side-effect objects, not part of the deterministic world recipe).
     alert_sinks: Tuple[object, ...] = field(default=(), compare=False)
-
-    def resolved_scheme(self) -> str:
-        return resolve_scheme_name(self.signature_scheme)
 
 
 T = TypeVar("T")
@@ -217,35 +206,27 @@ class TenantWorld:
             store = FaultyStore(store, config.faults)
         self.db = TamperEvidentDatabase(
             provenance_store=store,
-            hash_algorithm=config.hash_algorithm,
             key_bits=config.key_bits,
-            signature_scheme=config.signature_scheme,
+            # A commit costs one root signature, however many records it
+            # holds (DESIGN.md §10).  The library and the offline CLI
+            # keep the paper's per-record RSA.
+            signature_scheme=MERKLE_BATCH_SCHEME,
             rng=rng,
             ca=CertificateAuthority(
-                name=f"repro-tenant-ca:{tenant_id}", rng=rng,
-                key_bits=config.key_bits, hash_algorithm=config.hash_algorithm,
+                name=f"repro-tenant-ca:{tenant_id}", rng=rng, key_bits=config.key_bits,
             ),
         )
-        self.db.collector.store_retries = max(0, int(config.store_retries))
         self.db.collector.retry_backoff = config.retry_backoff
         if config.faults is not None:
             self.db.collector.faults = config.faults
         self.participant = self.db.enroll(f"svc:{tenant_id}")
         scheme = self.participant.scheme
-        if config.store_root is not None and isinstance(
-            scheme, MerkleBatchSignatureScheme
-        ):
+        if config.store_root is not None:
             # A reopened durable store may hold epochs from an earlier run.
             scheme.resume_after(store.max_epoch(self.participant.participant_id))
         if signers is not None:
-            # Per-record RSA signatures and Merkle-batch root seals are
-            # computed in the service's helper processes.
-            if isinstance(scheme, RSASignatureScheme):
-                self.participant.scheme = PooledRSASignatureScheme(scheme, signers)
-            elif isinstance(scheme, MerkleBatchSignatureScheme):
-                scheme.root_signer = PooledRSASignatureScheme(
-                    scheme.root_signer, signers
-                )
+            # Root seals are computed in the service's helper processes.
+            scheme.root_signer = PooledRSASignatureScheme(scheme.root_signer, signers)
         self.session: ParticipantSession = self.db.session(self.participant)
         #: Trust store cached once — enrollment happens only here, so the
         #: certificate set is final and verify calls skip re-validating
@@ -495,7 +476,9 @@ class TenantWorld:
             self._monitor = ProvenanceMonitor(
                 self.store,
                 self.keystore,
-                lag_threshold=self.config.lag_threshold,
+                # Served health reports tampering, not how far a tenant's
+                # chains have grown past the monitor's watermark.
+                lag_threshold=1 << 30,
                 name=self.tenant_id,
                 **kwargs,
             )
@@ -521,7 +504,6 @@ class ProvenanceService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        config.resolved_scheme()  # validate the scheme name eagerly
         self._worlds: Dict[str, TenantWorld] = {}
         #: Guards ``_worlds`` and ``_opening``; held only briefly.
         self._worlds_lock = threading.Lock()
@@ -538,15 +520,13 @@ class ProvenanceService:
             CertificateAuthority(
                 name="repro-service-auth-ca",
                 key_bits=config.key_bits,
-                hash_algorithm=config.hash_algorithm,
                 rng=auth_rng,
             ),
             state_path=auth_state,
         )
         self.admin_token = self.authority.issue_admin()
-        #: Helper processes for the tenants' RSA signatures, Merkle-batch
-        #: root seals or per-record (one per usable CPU, started on first
-        #: use); None on one CPU.
+        #: Helper processes for the tenants' Merkle-batch root seals (one
+        #: per usable CPU, started on first use); None on one CPU.
         self.signers = SignerPool.for_host()
         self.background = None
         if config.monitor_interval > 0:

@@ -8,10 +8,10 @@ interpreter core: it imports nothing, not even the ``repro`` package
 Protocol, one request per line on standard input, all integers in
 lowercase hexadecimal separated by single spaces::
 
-    p q d_p d_q q_inv c1 c2 ...
+    p q d_p d_q q_inv c
 
-The reply is one line on standard output, ``m1 m2 ...`` with
-``m_i = c_i^d mod n``, computed with the same CRT steps as
+The reply is one line on standard output, ``m`` with ``m = c^d mod n``,
+computed with the same CRT steps as
 :meth:`repro.crypto.rsa.RSAPrivateKey.decrypt_int`.  The helper keeps no
 state between requests and exits when its standard input closes, which
 is also what happens when the process that started it dies.
@@ -29,9 +29,9 @@ def permute(c, p, q, d_p, d_q, q_inv):
 def serve(requests, replies):
     """Answer request lines from ``requests`` until it is exhausted."""
     for line in requests:
-        p, q, d_p, d_q, q_inv, *values = [int(field, 16) for field in line.split()]
-        out = " ".join(format(permute(c, p, q, d_p, d_q, q_inv), "x") for c in values)
-        replies.write(out.encode("ascii") + b"\n")
+        p, q, d_p, d_q, q_inv, c = [int(field, 16) for field in line.split()]
+        m = permute(c, p, q, d_p, d_q, q_inv)
+        replies.write(format(m, "x").encode("ascii") + b"\n")
         replies.flush()
 
 

@@ -1,20 +1,22 @@
-"""Per-record RSA signatures computed in helper processes.
+"""Merkle-batch root seals computed in helper processes.
 
-A 1024-bit signature in pure Python holds the GIL for about 1.8 ms: two
-512-bit ``pow`` calls under CRT.  In a threaded server that is time no
-other request can run, however many CPUs the host has.  A
+A served commit costs one RSA signature, the root seal of its Merkle
+batch.  A 1024-bit signature in pure Python holds the GIL for about
+1.8 ms: two 512-bit ``pow`` calls under CRT.  In a threaded server that
+is time no other request can run, however many CPUs the host has.  A
 :class:`SignerPool` keeps one helper process per usable CPU
 (:mod:`repro.service.signer_helper`, started on first use).  A thread
-that signs writes the private key and the message representatives to a
-helper's pipe and waits for the reply with the GIL released, so another
-request's work runs meanwhile.  When only one CPU is usable there is no
-pool: a helper would only compete with the server for that CPU.
+that seals writes the private key and the message representative to an
+idle helper's pipe and waits for the reply with the GIL released, so
+another request's work runs meanwhile.  When only one CPU is usable
+there is no pool: a helper would only compete with the server for that
+CPU.
 
-:class:`PooledRSASignatureScheme` is per-record RSA over such a pool.
+:class:`PooledRSASignatureScheme` is the root signer over such a pool.
 Its signatures are byte-identical to :class:`RSASignatureScheme`'s: the
 helpers run the permutation of
 :meth:`~repro.crypto.rsa.RSAPrivateKey.decrypt_int` on the same
-EMSA-PKCS1-v1_5 representatives.  A chunk whose helper dies is signed
+EMSA-PKCS1-v1_5 representative.  A seal whose helper dies is signed
 in-process instead and counted on ``crypto.sign.degraded_chunks``, as
 :class:`~repro.core.verifier.ParallelVerifier` counts a degraded verify
 chunk; the helper is replaced by a fresh process on its next use.
@@ -26,10 +28,8 @@ import os
 import subprocess
 import sys
 import threading
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
-from repro import obs
-from repro.crypto import pkcs1
 from repro.crypto.rsa import RSAPrivateKey
 from repro.crypto.signatures import RSASignatureScheme
 from repro.exceptions import CryptoError
@@ -58,9 +58,9 @@ class _Helper:
     def __init__(self) -> None:
         self.proc: Optional[subprocess.Popen] = None
 
-    def send(self, key: RSAPrivateKey, values: Sequence[int]) -> bool:
-        """Write one request; False if the helper could not take it."""
-        fields = (key.p, key.q, key.d_p, key.d_q, key.q_inv, *values)
+    def permute(self, key: RSAPrivateKey, c: int) -> Optional[int]:
+        """``key.decrypt_int(c)``, or None if the helper could not answer."""
+        fields = (key.p, key.q, key.d_p, key.d_q, key.q_inv, c)
         line = " ".join(format(field, "x") for field in fields).encode("ascii")
         try:
             if self.proc is None:
@@ -75,19 +75,10 @@ class _Helper:
                 )
             self.proc.stdin.write(line + b"\n")
             self.proc.stdin.flush()
+            reply = self.proc.stdout.readline()
+            return int(reply, 16) if reply.endswith(b"\n") else None
         except (OSError, ValueError):  # no interpreter, or a dead helper's pipe
-            return False
-        return True
-
-    def receive(self, count: int) -> Optional[List[int]]:
-        """The reply to the last request, or None if the helper sent none."""
-        try:
-            fields = self.proc.stdout.readline().split()
-            if len(fields) == count:
-                return [int(field, 16) for field in fields]
-        except (OSError, ValueError):
-            pass
-        return None
+            return None
 
     def stop(self, kill: bool = False) -> None:
         """End the process (EOF on its stdin, or SIGKILL) and reap it."""
@@ -108,19 +99,10 @@ class _Helper:
             proc.wait()
 
 
-def _split(values: Sequence[int], parts: int) -> List[Sequence[int]]:
-    """``values`` as ``parts`` contiguous chunks whose sizes differ by at most 1."""
-    size, extra = divmod(len(values), parts)
-    chunks, start = [], 0
-    for part in range(parts):
-        end = start + size + (part < extra)
-        chunks.append(values[start:end])
-        start = end
-    return chunks
-
-
 class SignerPool:
     """Helper processes running RSA private-key permutations off the GIL.
+
+    Each :meth:`permute` call runs one permutation on one idle helper.
 
     Args:
         size: Number of helpers.  :meth:`for_host` picks one per usable
@@ -134,7 +116,7 @@ class SignerPool:
         self._idle: List[_Helper] = [_Helper() for _ in range(size)]
         self._cond = threading.Condition()
         self._closed = False
-        #: Chunks signed in-process because their helper failed.
+        #: Signatures computed in-process because their helper failed.
         self.degraded_chunks = 0
 
     @classmethod
@@ -148,73 +130,44 @@ class SignerPool:
         with self._cond:
             return [h.proc.pid for h in self._idle if h.proc is not None]
 
-    def permute(self, key: RSAPrivateKey, values: Sequence[int]) -> Iterator[int]:
-        """Yield ``key.decrypt_int(c)`` for each ``c`` of ``values``, in order.
-
-        On the first ``next()``, the values are split into one contiguous
-        chunk per helper taken (the first idle one is waited for, the
-        others are taken only if idle) and every chunk is sent before
-        any reply is read.  Close the iterator if it is not exhausted.
+    def permute(self, key: RSAPrivateKey, c: int) -> int:
+        """``key.decrypt_int(c)``, computed on the next idle helper.
 
         Raises:
-            CryptoError: If a value is out of range ``[0, n)``.
+            CryptoError: If ``c`` is out of range ``[0, n)``.
         """
-        if any(not 0 <= c < key.n for c in values):
+        if not 0 <= c < key.n:
             raise CryptoError("ciphertext representative out of range for modulus")
-        if not values:
-            return
-        helpers = self._acquire(len(values))
-        if not helpers:  # closed: sign in-process
-            yield from (key.decrypt_int(c) for c in values)
-            return
-        chunks = _split(values, len(helpers))
-        sent = [helper.send(key, chunk) for helper, chunk in zip(helpers, chunks)]
-        read = 0
-        try:
-            for helper, chunk, ok in zip(helpers, chunks, sent):
-                results = self._results(helper, key, chunk, ok)
-                read += 1
-                yield from results
-        finally:
-            # A reply left unread (the caller stopped early) would answer
-            # the helper's next request: replace that helper instead.
-            for helper, ok in zip(helpers[read:], sent[read:]):
-                if ok:
-                    helper.stop(kill=True)
-            self._release(helpers)
-
-    def _results(
-        self, helper: _Helper, key: RSAPrivateKey, chunk: Sequence[int], sent: bool
-    ) -> List[int]:
-        results = helper.receive(len(chunk)) if sent else None
-        if results is not None:
-            return results
-        helper.stop(kill=True)
-        with self._cond:
-            self.degraded_chunks += 1
-        if OBS.enabled:
-            OBS.registry.counter("crypto.sign.degraded_chunks").inc()
-        return [key.decrypt_int(c) for c in chunk]
-
-    def _acquire(self, wanted: int) -> List[_Helper]:
         with self._cond:
             while not self._idle and not self._closed:
                 self._cond.wait()
-            if self._closed:
-                return []
-            take = min(wanted, len(self._idle))
-            helpers = self._idle[-take:]
-            del self._idle[-take:]
-            return helpers
+            helper = None if self._closed else self._idle.pop()
+        if helper is None:  # closed: sign in-process
+            return key.decrypt_int(c)
+        m = None
+        try:
+            m = helper.permute(key, c)
+        finally:
+            if m is None:
+                # No reply, or one left unread by an interrupted caller
+                # that would answer the next request: replace the helper.
+                helper.stop(kill=True)
+            self._release(helper)
+        if m is None:
+            with self._cond:
+                self.degraded_chunks += 1
+            if OBS.enabled:
+                OBS.registry.counter("crypto.sign.degraded_chunks").inc()
+            m = key.decrypt_int(c)
+        return m
 
-    def _release(self, helpers: List[_Helper]) -> None:
+    def _release(self, helper: _Helper) -> None:
         with self._cond:
             if not self._closed:
-                self._idle.extend(helpers)
-                self._cond.notify(len(helpers))
+                self._idle.append(helper)
+                self._cond.notify()
                 return
-        for helper in helpers:
-            helper.stop()
+        helper.stop()
 
     def close(self) -> None:
         """Stop every helper; later signing runs in-process.
@@ -233,39 +186,19 @@ class SignerPool:
 
 
 class PooledRSASignatureScheme(RSASignatureScheme):
-    """Per-record RSA whose private-key permutation runs in a :class:`SignerPool`.
+    """RSA whose private-key permutation runs in a :class:`SignerPool`.
 
-    :meth:`sign_many` sends a whole flush's messages in one call, spread
-    over the idle helpers.  Each signature still counts once on
-    ``crypto.sign.count`` and enters ``rsa.sign`` once; that phase times
-    the wait for its signature.
+    The service's Merkle-batch root signer.  Each signature still counts
+    once on ``crypto.sign.count`` and enters ``rsa.sign`` once; that
+    phase times the wait for its helper.
     """
 
     def __init__(self, scheme: RSASignatureScheme, pool: SignerPool):
         super().__init__(scheme.private_key, scheme.hash_algorithm)
         self.pool = pool
 
-    def sign(self, message: bytes) -> bytes:
-        return self.sign_many((message,))[0]
-
-    def sign_many(self, messages: Sequence[bytes]) -> List[bytes]:
-        """Signatures of ``messages``, in order; the same bytes as :meth:`sign`."""
-        k = self.private_key.byte_size
-        values = [
-            int.from_bytes(pkcs1.encode(message, k, self.hash_algorithm), "big")
-            for message in messages
-        ]
-        results = self.pool.permute(self.private_key, values)
-        try:
-            return [self._signature(results, k) for _ in values]
-        finally:
-            results.close()
-
-    @obs.phase("rsa.sign", scheme=RSASignatureScheme.scheme_name)
-    def _signature(self, results: Iterator[int], k: int) -> bytes:
-        if OBS.enabled:
-            OBS.registry.counter("crypto.sign.count", scheme=self.scheme_name).inc()
-        return next(results).to_bytes(k, "big")
+    def _permute(self, m: int) -> int:
+        return self.pool.permute(self.private_key, m)
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli.main import main, parse_value
+from repro.cli.main import build_parser, main, parse_value
 
 
 @pytest.fixture
@@ -34,6 +34,21 @@ class TestParseValue:
     ])
     def test_parsing(self, text, expected):
         assert parse_value(text) == expected
+
+
+class TestServeArguments:
+    """`repro serve` signs Merkle-batch only; `--scheme merkle-batch`
+    still parses (the end-to-end benchmark passes it)."""
+
+    def test_scheme_merkle_batch_parses(self):
+        args = build_parser().parse_args(["serve", "--scheme", "merkle-batch"])
+        assert args.scheme == "merkle-batch"
+
+    def test_scheme_rsa_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["serve", "--scheme", "rsa"])
+        assert refused.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.crypto.pki import Certificate, CertificateAuthority, KeyStore, Participant
+from repro.crypto.pki import (
+    Certificate,
+    CertificateAuthority,
+    KeyStore,
+    Participant,
+    resolve_scheme_name,
+)
 from repro.exceptions import CertificateError
 
 
@@ -102,3 +108,8 @@ class TestParticipant:
 
     def test_repr_mentions_scheme(self, participants):
         assert "rsa-pkcs1v15" in repr(participants["p1"])
+
+
+class TestSchemeNames:
+    def test_scheme_aliases_resolve(self):
+        assert resolve_scheme_name("rsa") == "rsa-pkcs1v15"

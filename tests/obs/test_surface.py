@@ -12,9 +12,10 @@ fixture:
 The database workload (insert / update / complex operation / aggregate,
 then a serial verify, a two-worker parallel verify under per-record RSA,
 and two monitor ticks) runs under {rsa-per-record, merkle-batch} x
-{memory, sqlite}; a fifth case drives a live in-process HTTP server
-through the client, so the ``client.request`` -> ``http.request`` half
-of the surface is pinned too.  Any change to how a site is
+{memory, sqlite}; a fifth case drives a live in-process HTTP server,
+which serves Merkle-batch, through the client, so the
+``client.request`` -> ``http.request`` half of the surface is pinned
+too.  Any change to how a site is
 instrumented that renames a span, drops an attribute key, moves a
 metric series or changes a call count fails here.
 
@@ -115,10 +116,7 @@ def _service_surface() -> Dict[str, object]:
     from repro.service import ProvenanceHTTPServer, ServiceClient, ServiceConfig
 
     log = _observe_all()
-    # The fixture pins the per-record RSA service surface.
-    server = ProvenanceHTTPServer(
-        config=ServiceConfig(seed=11, key_bits=512, signature_scheme="rsa-per-record")
-    )
+    server = ProvenanceHTTPServer(config=ServiceConfig(seed=11, key_bits=512))
     server.start_background()
     try:
         admin = ServiceClient(server.base_url, token=server.service.admin_token)

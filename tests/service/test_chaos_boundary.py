@@ -154,7 +154,7 @@ class TestTransientStoreFaults:
     ):
         """Staging reads each object's cached chain tail, never a whole
         record, even with cold tail caches."""
-        server = server_factory(store_root=str(tmp_path), signature_scheme="merkle-batch")
+        server = server_factory(store_root=str(tmp_path))
         client = raw_client(server)
         client.batch([{"op": "insert", "object_id": f"o{i}", "value": i} for i in range(16)])
         world = server.service.world("acme")

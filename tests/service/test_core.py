@@ -156,7 +156,7 @@ class TestDeterminism:
         assert ca_a.public_key.n != ca_b.public_key.n
 
     def test_merkle_batch_scheme_works(self):
-        svc = ProvenanceService(make_config(signature_scheme="merkle-batch"))
+        svc = ProvenanceService(make_config())
         try:
             svc.record("acme", "insert", "doc", value="v0")
             svc.record("acme", "update", "doc", value="v1")
@@ -192,8 +192,10 @@ class TestDeterminism:
         assert answers[0] == answers[1]
 
     def test_bad_scheme_rejected_eagerly(self):
-        with pytest.raises(Exception):
-            ProvenanceService(make_config(signature_scheme="dsa"))
+        """A service serves Merkle-batch only: a config that names a
+        signature scheme, per-record RSA included, is refused when built."""
+        with pytest.raises(TypeError):
+            make_config(signature_scheme="rsa")
 
     def test_served_records_are_merkle_batch_by_default(self, service):
         """One root signature per commit; the library keeps per-record RSA."""
@@ -382,8 +384,3 @@ class TestServiceConfig:
     def test_frozen_and_comparable(self):
         assert ServiceConfig(seed=1) == ServiceConfig(seed=1)
         assert ServiceConfig(seed=1) != ServiceConfig(seed=2)
-
-    def test_scheme_aliases_resolve(self):
-        assert ServiceConfig(signature_scheme="rsa").resolved_scheme() == (
-            "rsa-pkcs1v15"
-        )

@@ -2,8 +2,7 @@
 
 The property (ISSUE satellite): a seeded workload driven through the
 HTTP API produces verification reports **byte-identical** to the same
-workload driven against a same-seed in-process service — for both
-signature schemes.  The HTTP layer serializes with the same
+workload driven against a same-seed in-process service.  The HTTP layer serializes with the same
 :func:`canonical_json` the comparison uses, so equality is literal
 ``bytes ==``, not structural.
 
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.service import (
     ProvenanceService,
     ServiceClient,
@@ -28,7 +25,6 @@ from repro.service import (
 from tests.service.conftest import make_config
 
 TENANTS = ("t0", "t1", "t2")
-SCHEMES = ("rsa-per-record", "merkle-batch")
 
 
 def seeded_workload(tenant: str, seed: int = 5):
@@ -54,9 +50,9 @@ def seeded_workload(tenant: str, seed: int = 5):
     return ops
 
 
-def drive_http(server_factory, scheme):
+def drive_http(server_factory):
     """Run the workload over HTTP; returns every response's bytes."""
-    server = server_factory(signature_scheme=scheme)
+    server = server_factory()
     admin = ServiceClient(server.base_url, token=server.service.admin_token)
     transcript = []
     for tenant in TENANTS:
@@ -77,9 +73,9 @@ def drive_http(server_factory, scheme):
     return transcript
 
 
-def drive_inprocess(scheme):
+def drive_inprocess():
     """Same workload against a same-config service, no HTTP anywhere."""
-    service = ProvenanceService(make_config(signature_scheme=scheme))
+    service = ProvenanceService(make_config())
     transcript = []
     try:
         for tenant in TENANTS:
@@ -103,27 +99,17 @@ def drive_inprocess(scheme):
     return transcript
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_http_equals_inprocess_byte_for_byte(server_factory, scheme):
-    http = drive_http(server_factory, scheme)
-    ref = drive_inprocess(scheme)
+def test_http_equals_inprocess_byte_for_byte(server_factory):
+    http = drive_http(server_factory)
+    ref = drive_inprocess()
     assert len(http) == len(ref)
     for i, (a, b) in enumerate(zip(http, ref)):
         assert a == b, f"response {i} diverged:\nHTTP: {a!r}\nref:  {b!r}"
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_two_http_servers_agree(server_factory, scheme):
+def test_two_http_servers_agree(server_factory):
     """Same seed, two independent server processes' worth of state."""
-    assert drive_http(server_factory, scheme) == drive_http(
-        server_factory, scheme
-    )
-
-
-def test_schemes_differ():
-    """Sanity: the two schemes do NOT produce identical transcripts —
-    otherwise the parametrization above would be vacuous."""
-    assert drive_inprocess(SCHEMES[0]) != drive_inprocess(SCHEMES[1])
+    assert drive_http(server_factory) == drive_http(server_factory)
 
 
 def test_report_counts_include_the_audit_trail():

@@ -67,15 +67,15 @@ class Hold:
         self.armed = threading.Event()
         self.held = threading.Event()
         self.released = threading.Event()
-        original = PooledRSASignatureScheme.sign_many
+        original = PooledRSASignatureScheme.sign
 
-        def sign_many(scheme, messages):
+        def sign(scheme, message):
             if self.armed.is_set() and not self.held.is_set():
                 self.held.set()
                 assert self.released.wait(TIMEOUT), "hold never released"
-            return original(scheme, messages)
+            return original(scheme, message)
 
-        monkeypatch.setattr(PooledRSASignatureScheme, "sign_many", sign_many)
+        monkeypatch.setattr(PooledRSASignatureScheme, "sign", sign)
 
     def arm(self) -> None:
         self.armed.set()
@@ -118,7 +118,7 @@ def test_concurrent_batches_share_one_seal_and_keep_their_own_records(monkeypatc
 
     monkeypatch.setattr(MerkleBatchSignatureScheme, "seal_batch", seal_batch)
     hold = Hold(monkeypatch)
-    service = pooled_service(monkeypatch, signature_scheme="merkle-batch")
+    service = pooled_service(monkeypatch)
     try:
         world = service.world(TENANT)
         hold.arm()
@@ -604,18 +604,15 @@ class Client:
 
 
 @pytest.mark.parametrize("store", ("memory", "sqlite"))
-@pytest.mark.parametrize("scheme", ("rsa-per-record", "merkle-batch"))
-def test_stress_more_threads_than_cpus(tmp_path, scheme, store):
+def test_stress_more_threads_than_cpus(tmp_path, store):
     root = str(tmp_path / "tenants") if store == "sqlite" else None
-    service = ProvenanceService(make_config(
-        signature_scheme=scheme, store_root=root, shards=2,
-    ))
+    service = ProvenanceService(make_config(store_root=root, shards=2))
     tenants = ("s0", "s1")
     violations = []
     for tenant in tenants:
         world = service.world(tenant)
         world._turns = CheckedTurns(world, violations)
-    clients = [Client(service, i, seed=len(scheme) + len(store)) for i in range(8)]
+    clients = [Client(service, i, seed=12 + len(store)) for i in range(8)]
     stop = time.monotonic() + 2.0
     crashed = []
 

@@ -1,25 +1,22 @@
-"""Served RSA signatures in signer helper processes.
+"""Served Merkle-batch root seals in signer helper processes.
 
 The helpers must change where a signature is computed and nothing else:
 
 - a helper's permutation is ``RSAPrivateKey.decrypt_int``, edge values
   included, and the helper imports nothing from ``repro``;
-- a service world stores the same bytes with the pool on and off, under
-  per-record RSA and under Merkle-batch root seals, for single records,
-  a 50-op batch, an aggregate over bootstrapped inputs and a bootstrap
-  followed by an update (the last two chain on a checksum staged in the
-  same flush);
-- each per-record RSA record, or each Merkle-batch commit, counts one
-  RSA ``crypto.sign.count`` and one ``rsa.sign``;
+- a service world stores the same bytes with the pool on and off, for
+  single records, a 50-op batch, an aggregate over bootstrapped inputs
+  and a bootstrap followed by an update (the last two chain on a
+  checksum staged in the same flush);
+- each commit counts one RSA ``crypto.sign.count`` and one ``rsa.sign``;
 - a killed helper costs a degraded chunk, signed in-process, not a
   failed write; closing the service or its HTTP server, or killing the
   process that started them, leaves no helper running;
-- a crash between signing and storing still loses the whole batch.
+- a crash between sealing and storing still loses the whole batch.
 
 "Pool on" patches the usable CPU count to 2 and "pool off" to 1, so
-both paths run on any host.  Tests of how per-record signatures spread
-over the helpers pin ``rsa-per-record``; a Merkle-batch commit signs one
-root in one helper.
+both paths run on any host.  A seal runs on one helper, so one commit
+at a time starts one.
 """
 
 from __future__ import annotations
@@ -39,9 +36,8 @@ import pytest
 
 import repro
 from repro import obs
-from repro.core.system import TamperEvidentDatabase
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.signatures import RSASignatureScheme
+from repro.crypto.signatures import MerkleBatchSignatureScheme, RSASignatureScheme
 from repro.exceptions import CrashError
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.service import ProvenanceHTTPServer, ProvenanceService, ServiceClient, canonical_json
@@ -51,8 +47,6 @@ from repro.service.signers import PooledRSASignatureScheme, SignerPool
 from tests.service.conftest import make_config
 
 TENANT = "acme"
-#: The served per-record RSA world, whose records spread over every helper.
-PER_RECORD = {"signature_scheme": "rsa-per-record"}
 
 
 def build(monkeypatch, cpus: int, **overrides) -> ProvenanceService:
@@ -61,9 +55,9 @@ def build(monkeypatch, cpus: int, **overrides) -> ProvenanceService:
 
 
 @contextmanager
-def pooled_and_plain(monkeypatch, **overrides):
-    on = build(monkeypatch, 2, **overrides)
-    off = build(monkeypatch, 1, **overrides)
+def pooled_and_plain(monkeypatch):
+    on = build(monkeypatch, 2)
+    off = build(monkeypatch, 1)
     try:
         assert on.signers is not None and off.signers is None
         yield on, off
@@ -106,7 +100,7 @@ def test_helper_permutation_equals_decrypt_int(bits):
                 signer_helper.permute(c, key.p, key.q, key.d_p, key.d_q, key.q_inv)
                 for c in values
             ] == expected
-            assert list(pool.permute(key, values)) == expected
+            assert [pool.permute(key, c) for c in values] == expected
     finally:
         pool.close()
     assert pool.degraded_chunks == 0
@@ -120,25 +114,30 @@ def test_pooled_scheme_signs_the_same_bytes():
         pooled = PooledRSASignatureScheme(plain, pool)
         messages = [f"m{i}".encode() for i in range(7)]
         expected = [plain.sign(m) for m in messages]
-        assert pooled.sign_many(messages) == expected
         assert [pooled.sign(m) for m in messages] == expected
-        assert len(pool.pids()) == 2
+        # One signature at a time runs on one helper.
+        assert len(pool.pids()) == 1
     finally:
         pool.close()
 
 
 def test_each_caller_gets_its_own_signatures_under_thread_stress():
+    """Threads sealing at once each get the root signature of their own
+    batch: PKCS#1 v1.5 signing is deterministic, so a root signature
+    that verifies is the one computed for that root."""
     key = generate_keypair(512, rng=random.Random(9)).private
-    plain = RSASignatureScheme(key)
     pool = SignerPool(2)
-    pooled = PooledRSASignatureScheme(plain, pool)
+    merkle = MerkleBatchSignatureScheme(key)
+    merkle.root_signer = PooledRSASignatureScheme(merkle.root_signer, pool)
     wrong = []
 
     def work(worker: int) -> None:
         rng = random.Random(worker)
         for round_ in range(15):
             messages = [f"{worker}:{round_}:{i}".encode() for i in range(rng.randint(1, 6))]
-            if pooled.sign_many(messages) != [plain.sign(m) for m in messages]:
+            leaves = [merkle.sign(m) for m in messages]
+            proofs = merkle.seal_batch()
+            if not all(map(merkle.verify_with_proof, messages, leaves, proofs)):
                 wrong.append((worker, round_))
 
     previous = sys.getswitchinterval()
@@ -219,50 +218,13 @@ def transcript(service, flow) -> bytes:
     return canonical_json({"responses": responses, "records": records})
 
 
-def flows_under_both_schemes():
-    """Each flow on the served default, Merkle-batch (named by the flow
-    alone), and on per-record RSA."""
-    for flow in sorted(FLOWS):
-        yield pytest.param(flow, {}, id=flow)
-        yield pytest.param(flow, PER_RECORD, id=f"{flow}-rsa-per-record")
-
-
-@pytest.mark.parametrize("flow, scheme", flows_under_both_schemes())
-def test_pool_on_and_off_store_the_same_bytes(monkeypatch, flow, scheme):
-    with pooled_and_plain(monkeypatch, **scheme) as (on, off):
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_pool_on_and_off_store_the_same_bytes(monkeypatch, flow):
+    with pooled_and_plain(monkeypatch) as (on, off):
         assert transcript(on, FLOWS[flow]) == transcript(off, FLOWS[flow])
         assert on.signers.pids(), "the pooled world signed nothing in a helper"
         assert on.signers.degraded_chunks == 0
         assert on.verify(TENANT, on.world(TENANT).store.object_ids()[0])["ok"]
-
-
-def test_chained_records_wait_for_their_predecessor():
-    """A flush signs each run of independent records in one call."""
-    calls = []
-
-    class Recording(RSASignatureScheme):
-        def sign_many(self, messages):
-            calls.append(len(messages))
-            return [self.sign(m) for m in messages]
-
-    db = TamperEvidentDatabase(key_bits=512, seed=3, bootstrap_missing=True)
-    alice = db.enroll("alice")
-    alice.scheme = Recording(alice.scheme.private_key)
-    session = db.session(alice)
-    with session.complex_operation():
-        for i in range(5):
-            session.insert(f"x{i}", i)
-    assert calls == [5]
-    db.engine.insert("u1", 1)
-    db.engine.insert("u2", 2)
-    session.aggregate(["x0", "u1", "u2"], "agg")
-    # Two bootstrap geneses together; the aggregate chains on both.
-    assert calls == [5, 2]
-    db.engine.insert("legacy", 0)
-    session.update("legacy", 1)
-    # Genesis, then the update chaining on it: one message each.
-    assert calls == [5, 2]
-    assert db.verify("agg").ok and db.verify("legacy").ok
 
 
 def rsa_signs(service, flows) -> int:
@@ -279,16 +241,6 @@ def rsa_signs(service, flows) -> int:
     finally:
         obs.disable_profile()
         obs.disable(reset=True)
-
-
-def test_sign_counts_still_equal_records_signed(monkeypatch):
-    with pooled_and_plain(monkeypatch, **PER_RECORD) as (on, off):
-        for service in (on, off):
-            signed = rsa_signs(service, (batch_of_50, single_records))
-            records = len(list(service.world(TENANT).store.all_records()))
-            assert records == 50 + 8
-            # One CA signature for the tenant's certificate.
-            assert signed == records + 1
 
 
 def test_a_merkle_batch_commit_signs_one_root(monkeypatch):
@@ -308,7 +260,7 @@ def test_a_merkle_batch_commit_signs_one_root(monkeypatch):
 
 
 def test_a_killed_helper_degrades_to_in_process_signing(monkeypatch):
-    with pooled_and_plain(monkeypatch, **PER_RECORD) as (on, off):
+    with pooled_and_plain(monkeypatch) as (on, off):
         obs.enable(reset=True)
         try:
             for service in (on, off):
@@ -326,17 +278,17 @@ def test_a_killed_helper_degrades_to_in_process_signing(monkeypatch):
             assert on.batch(TENANT, ops) == off.batch(TENANT, ops)
             assert on.signers.degraded_chunks == 1
             fresh = on.signers.pids()
-            assert len(fresh) == 2 and not set(fresh) & set(killed)
+            assert len(fresh) == 1 and not set(fresh) & set(killed)
             assert on.verify(TENANT, "a")["ok"]
         finally:
             obs.disable(reset=True)
 
 
 def test_close_leaves_no_helper_alive(monkeypatch):
-    service = build(monkeypatch, 2, **PER_RECORD)
+    service = build(monkeypatch, 2)
     batch_of_50(service)
     pids = service.signers.pids()
-    assert len(pids) == 2
+    assert len(pids) == 1
     service.close()
     wait_until_gone(pids, seconds=0)
     assert service.signers.pids() == []
@@ -346,7 +298,7 @@ def test_close_leaves_no_helper_alive(monkeypatch):
 
 def test_http_server_stop_leaves_no_helper_alive(monkeypatch):
     monkeypatch.setattr(signers, "usable_cpus", lambda: 2)
-    server = ProvenanceHTTPServer(config=make_config(**PER_RECORD))
+    server = ProvenanceHTTPServer(config=make_config())
     server.start_background()
     try:
         with ServiceClient(server.base_url, token=server.service.admin_token) as admin:
@@ -354,7 +306,7 @@ def test_http_server_stop_leaves_no_helper_alive(monkeypatch):
         with ServiceClient(server.base_url, token=token) as client:
             client.batch([{"op": "insert", "object_id": f"h{i}", "value": i} for i in range(4)])
         pids = server.service.signers.pids()
-        assert len(pids) == 2
+        assert len(pids) == 1
     finally:
         server.stop()
     wait_until_gone(pids, seconds=0)
@@ -369,7 +321,7 @@ def test_a_helper_whose_parent_dies_exits_on_eof():
         from repro.service.signers import SignerPool
         pool = SignerPool(1)
         key = generate_keypair(512, rng=random.Random(1)).private
-        assert list(pool.permute(key, [5])) == [key.decrypt_int(5)]
+        assert pool.permute(key, 5) == key.decrypt_int(5)
         print(pool.pids()[0], flush=True)
         sys.stdin.read()
         """
@@ -395,13 +347,13 @@ def test_flush_crash_still_loses_the_whole_signed_batch(monkeypatch):
     plan = FaultPlan(seed=3, rules=(FaultRule(
         site="collector.flush", kind=FaultKind.CRASH, indices=frozenset({1}),
     ),))
-    service = build(monkeypatch, 2, faults=plan, **PER_RECORD)
+    service = build(monkeypatch, 2, faults=plan)
     try:
         service.record(TENANT, "insert", "a", 1)                      # flush 0
         ops = [{"op": "insert", "object_id": f"c{i}", "value": i} for i in range(6)]
         with pytest.raises(CrashError):
             service.batch(TENANT, ops)                                # flush 1
-        assert len(service.signers.pids()) == 2  # the batch was signed in helpers
+        assert len(service.signers.pids()) == 1  # the batch was sealed in a helper
         world = service.world(TENANT)
         assert [r.object_id for r in world.store.all_records()] == ["a"]
         assert not any(f"c{i}" in world.db.store for i in range(6))
