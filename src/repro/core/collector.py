@@ -263,7 +263,7 @@ class ChecksumCollector:
     ) -> ProvenanceRecord:
         participant = write.participant
         before = ctx.before_digest(object_id)
-        latest = self._latest(object_id)
+        latest = self.tail(object_id)
         output = self._output_state(object_id, ctx)
 
         if before is None:
@@ -341,7 +341,7 @@ class ChecksumCollector:
                     f"aggregation input {input_id!r} has no pre-operation state; "
                     "was ensure_tree called before aggregating?"
                 )
-            latest = self._latest(input_id)
+            latest = self.tail(input_id)
             if latest is None:
                 pending_bootstrap.append((input_id, digest))
                 latest_checksum = None
@@ -459,7 +459,7 @@ class ChecksumCollector:
         self._pending.setdefault(staged.object_id, []).append(ChainTail.of(staged))
         return staged
 
-    def _latest(self, object_id: str) -> Optional[ChainTail]:
+    def tail(self, object_id: str) -> Optional[ChainTail]:
         """An object's chain tail, staged records included."""
         pending = self._pending.get(object_id)
         if pending:

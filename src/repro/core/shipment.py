@@ -36,18 +36,30 @@ class Shipment:
     certificates: Tuple[Certificate, ...]
 
     @classmethod
-    def build(cls, db, object_id: str) -> "Shipment":
+    def build(
+        cls,
+        db,
+        object_id: str,
+        snapshot: Optional[SubtreeSnapshot] = None,
+        seq_id: Optional[int] = None,
+    ) -> "Shipment":
         """Package ``object_id`` from a :class:`TamperEvidentDatabase`.
 
         Includes the full provenance closure (through aggregations) and a
-        certificate for every participant appearing in it.
+        certificate for every participant appearing in it.  A caller that
+        pinned the object's state earlier passes that ``snapshot`` and the
+        seq id its chain had then, and the closure is cut at that record;
+        otherwise the current state and the whole chain are shipped.
 
         Raises:
-            ShipmentError: If the object does not exist.
+            ShipmentError: If no snapshot is given and the object does
+                not exist.
         """
-        if object_id not in db.store:
-            raise ShipmentError(f"object {object_id!r} is not in the database")
-        records = db.provenance_object(object_id)
+        if snapshot is None:
+            if object_id not in db.store:
+                raise ShipmentError(f"object {object_id!r} is not in the database")
+            snapshot = SubtreeSnapshot.capture(db.store, object_id)
+        records = db.provenance_object(object_id, seq_id)
         participant_ids = sorted({r.participant_id for r in records})
         certificates = []
         for participant_id in participant_ids:
@@ -60,7 +72,7 @@ class Shipment:
                 ) from exc
         return cls(
             target_id=object_id,
-            snapshot=SubtreeSnapshot.capture(db.store, object_id),
+            snapshot=snapshot,
             records=tuple(records),
             certificates=tuple(certificates),
         )

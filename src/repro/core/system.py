@@ -161,7 +161,9 @@ class TamperEvidentDatabase:
         """The object's own chain (actual + inherited records), by seq."""
         return self.provenance_store.records_for(object_id)
 
-    def provenance_object(self, object_id: str) -> Tuple[ProvenanceRecord, ...]:
+    def provenance_object(
+        self, object_id: str, seq_id: Optional[int] = None
+    ) -> Tuple[ProvenanceRecord, ...]:
         """The full provenance object of ``object_id`` (Definition 1).
 
         The object's chain plus — through aggregation records — the chains
@@ -169,9 +171,10 @@ class TamperEvidentDatabase:
         accompanies the data object to a recipient.  Only the object's
         closure is read (:meth:`ProvenanceDAG.of`), so the cost follows
         the size of this history, not of the store; the tuple and its
-        order equal the whole-store DAG's ``ancestry(object_id)``.
+        order equal the whole-store DAG's ``ancestry(object_id, seq_id)``
+        (``seq_id`` cuts the object's chain there; None takes all of it).
         """
-        return self.dag(object_id).ancestry(object_id)
+        return self.dag(object_id).ancestry(object_id, seq_id)
 
     def dag(self, object_id: Optional[str] = None) -> ProvenanceDAG:
         """DAG over ``object_id``'s closure, or over every record if None.

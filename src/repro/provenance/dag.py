@@ -147,16 +147,23 @@ class ProvenanceDAG:
         chain = self._by_object.get(object_id)
         return chain[-1] if chain else None
 
-    def ancestry(self, object_id: str) -> Tuple[ProvenanceRecord, ...]:
+    def ancestry(
+        self, object_id: str, seq_id: Optional[int] = None
+    ) -> Tuple[ProvenanceRecord, ...]:
         """Every record the history of ``object_id`` depends on.
 
         This is the closure a data recipient must verify: the object's own
         chain plus, through aggregation records, the chains of every input
-        object, recursively — in topological order.
+        object, recursively — in topological order.  ``seq_id`` cuts the
+        object's chain there: the history is that of its newest record at
+        or below ``seq_id``, whatever was appended after it.
         """
-        terminal = self.terminal(object_id)
-        if terminal is None:
+        chain = self._by_object.get(object_id, ())
+        if seq_id is not None:
+            chain = [record for record in chain if record.seq_id <= seq_id]
+        if not chain:
             return ()
+        terminal = chain[-1]
         keys = nx.ancestors(self._graph, terminal.key) | {terminal.key}
         ordered = [k for k in nx.topological_sort(self._graph) if k in keys]
         return tuple(self._records[k] for k in ordered)

@@ -26,17 +26,16 @@ and inclusion proofs.  Replies and record checksums do not depend on it.
 the records are leaf-hashed, sealed under one Merkle root signature
 (computed in the signer pool when there is one) and appended in one
 store batch under a brief retake of the lock.  The request at the head
-of the queue commits every request staged before its commit began, so
+of the queue commits every request queued when its commit began, so
 concurrent writes share one seal and one store transaction while each
-reply carries only its own records.  A failed commit fails its group
-and every write staged after it; they are rolled back, newest first,
-before the next write stages.  A verify reads only once every write
-staged before it has committed (another verify's ``VERIFY`` record,
-which touches nothing but the audit chain, excepted), and writes wait
-to stage until it has checked its shipment and staged its own
-``VERIFY`` record, so its answer never depends on an uncommitted write.
-A verify that arrives while a write waits to stage queues behind that
-write, so overlapping verifies cannot hold writes back for ever.
+reply carries only its own records.  A failed commit fails every queued
+request; they are rolled back, newest first, before the next write
+stages.  Writes never wait for a verify.  A verify pins, under the lock,
+its target's state and the newest queued write of it, waits without the
+lock until that write has committed, reads the closure cut at the pinned
+record and checks it without the lock; its ``VERIFY`` record is then an
+ordinary write at the tail of the queue.  So its answer (a 404 included)
+never depends on an uncommitted write, nor on a write staged after it.
 
 **Isolation.**  A tenant is addressed only through its API key's tenant
 claim — there is no request surface that names another tenant's world —
@@ -62,18 +61,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.collector import StagedWrite
+from repro.core.shipment import Shipment
 from repro.core.system import ParticipantSession, TamperEvidentDatabase
 from repro.crypto.pki import CertificateAuthority, KeyStore
 from repro.crypto.signatures import MERKLE_BATCH_SCHEME
-from repro.exceptions import (
-    ReproError,
-    ServiceError,
-    TransientStoreError,
-    UnknownObjectError,
-)
+from repro.exceptions import ServiceError, TransientStoreError, UnknownObjectError
 from repro.obs import OBS
 from repro.provenance.records import ProvenanceRecord
 from repro.provenance.registry import open_tenant_store
+from repro.provenance.snapshot import SubtreeSnapshot
 from repro.query.lineage import lineage_summary
 from repro.service.auth import ApiKeyAuthority
 from repro.service.signers import PooledRSASignatureScheme, SignerPool
@@ -143,24 +139,26 @@ T = TypeVar("T")
 class _Queued:
     """One request's place in its tenant's commit queue."""
 
-    __slots__ = ("writes", "reading", "notarizes", "state", "error")
+    __slots__ = ("writes", "state", "error")
 
     STAGED = "staged"
     DONE = "done"
     FAILED = "failed"
 
-    def __init__(self, writes: List[StagedWrite], reading: bool = False):
+    def __init__(self, writes: List[StagedWrite]):
         self.writes = writes
-        #: A verify that has not yet read, checked its shipment and staged
-        #: its VERIFY record: writes wait to stage while it is queued.
-        self.reading = reading
-        #: A verify that has read and staged only its VERIFY record.
-        self.notarizes = False
         self.state = self.STAGED
         self.error: Optional[BaseException] = None
 
     def records(self) -> Tuple[ProvenanceRecord, ...]:
         return tuple(record for write in self.writes for record in write.records)
+
+    def holds(self, object_id: str) -> bool:
+        """Whether the request staged a record of ``object_id``."""
+        return any(
+            record.object_id == object_id
+            for write in self.writes for record in write.unsigned()
+        )
 
 
 def _echo(exc: BaseException) -> BaseException:
@@ -234,11 +232,8 @@ class TenantWorld:
         self.keystore: KeyStore = self.db.keystore()
         #: Staged requests in staging order; the head commits next.
         self._queue: List[_Queued] = []
-        #: Guards the queue; waiters for a turn wait on it.
+        #: Guards the queue; waiters for a turn or an outcome wait on it.
         self._turns = threading.Condition()
-        #: Writes waiting to stage behind a verify; verifies that arrive
-        #: meanwhile queue behind them.
-        self._blocked = 0
         self._monitor = None
         self.witness = None
         self._anchor_path: Optional[str] = None
@@ -269,45 +264,19 @@ class TenantWorld:
     # the commit queue
     # ------------------------------------------------------------------
 
-    def _reading(self) -> bool:
-        return any(queued.reading for queued in self._queue)
-
-    def _push(self, writes: List[StagedWrite], reading: bool = False) -> _Queued:
-        queued = _Queued(writes, reading)
-        with self._turns:
-            self._queue.append(queued)
-        return queued
-
     def stage(self, apply: Callable[[], T]) -> Tuple[T, _Queued]:
-        """Run ``apply`` under the world lock with its commits deferred.
+        """Run ``apply`` under the world lock with its commits deferred,
+        and queue the writes it staged in the same hold of the lock.
 
-        Waits, without the lock, while a verify that has not staged its
-        VERIFY record yet is queued, so no verify reads an uncommitted
-        write.  While it waits, verifies that arrive queue behind it
-        (:meth:`begin_read`), so the wait ends once the verifies queued
-        before it have staged their records.  Returns what ``apply``
-        returned and the request's place in the queue.
+        Returns what ``apply`` returned and the request's place in the
+        queue.
         """
-        blocked = False
-        try:
-            while True:
-                with self._turns:
-                    while self._reading():
-                        if not blocked:
-                            blocked = True
-                            self._blocked += 1
-                        self._turns.wait()
-                with self.lock:
-                    with self._turns:
-                        if self._reading():  # a verify queued meanwhile
-                            continue
-                    result, writes = self._deferred(apply)
-                    return result, self._push(writes)
-        finally:
-            if blocked:
-                with self._turns:
-                    self._blocked -= 1
-                    self._turns.notify_all()
+        with self.lock:
+            result, writes = self._deferred(apply)
+            queued = _Queued(writes)
+            with self._turns:
+                self._queue.append(queued)
+        return result, queued
 
     def _deferred(self, apply: Callable[[], T]) -> Tuple[T, List[StagedWrite]]:
         """Run ``apply`` (the caller holds the lock) with the collector's
@@ -320,78 +289,43 @@ class TenantWorld:
                 raise
         return result, writes
 
-    def begin_read(self, object_id: str) -> _Queued:
-        """Queue a verify of ``object_id`` and wait, without the lock, for
-        its turn to read; no write stages until :meth:`end_read` (or
-        :meth:`withdraw`).
+    def newest(self, object_id: Optional[str] = None) -> Optional[_Queued]:
+        """The newest queued request holding a record of ``object_id``
+        (of any object if None), or None.
 
-        A verify that arrives while a write waits to stage first waits,
-        without the lock, until that write has staged.  Its turn to read
-        comes when every request queued before it has committed — except
-        an earlier verify's VERIFY record, which touches nothing but the
-        audit chain, unless ``object_id`` is that chain.
+        The caller holds the world lock, under which requests are staged
+        and failed, so the answer stays true until it lets go.
         """
         with self._turns:
-            while self._blocked:
+            for queued in reversed(self._queue):
+                if object_id is None or queued.holds(object_id):
+                    return queued
+        return None
+
+    def wait_committed(self, queued: Optional[_Queued]) -> None:
+        """Wait, without the world lock, until ``queued`` has committed.
+
+        Raises:
+            TransientStoreError: If its commit failed (it was rolled
+                back; a retry is safe).
+        """
+        if queued is None:
+            return
+        with self._turns:
+            while queued.state == _Queued.STAGED:
                 self._turns.wait()
-        with self.lock:
-            queued = self._push([], reading=True)
-        try:
-            with self._turns:
-                while not self._may_read(queued, object_id):
-                    self._turns.wait()
-        except BaseException:
-            self.withdraw(queued)
-            raise
-        return queued
-
-    def _may_read(self, queued: _Queued, object_id: str) -> bool:
-        for entry in self._queue:
-            if entry is queued:
-                return True
-            if object_id == AUDIT_OBJECT or not entry.notarizes:
-                return False
-        return False
-
-    def end_read(self, queued: _Queued, apply: Callable[[], object]) -> None:
-        """The verify has read: stage ``apply``'s writes as its own and let
-        writes stage again.
-
-        Both happen in one hold of the world lock, as :meth:`stage` stages
-        and queues, so a failing commit (:meth:`_fail`, which takes the
-        lock) sees these writes either not yet staged or queued as
-        staged, and fails them with the writes they chain on.
-        """
-        with self.lock:
-            _, writes = self._deferred(apply)
-            with self._turns:
-                queued.writes = writes
-                queued.reading = False
-                # An insert or update of a root object changes that
-                # object's node and chain alone (an audit chain a client
-                # nested under another object would give it an inherited
-                # record too).
-                queued.notarizes = all(
-                    event.object_id == AUDIT_OBJECT and not event.ancestors
-                    for write in writes for event in write.events
-                )
-                self._turns.notify_all()
-
-    def withdraw(self, queued: _Queued) -> None:
-        """Take a request that will not commit out of the queue."""
-        with self._turns:
-            if queued in self._queue:
-                self._queue.remove(queued)
-                self._turns.notify_all()
+        if queued.state == _Queued.FAILED:
+            raise TransientStoreError(
+                "a write this request waited on failed to commit; retry"
+            ) from queued.error
 
     def commit(self, queued: _Queued) -> Tuple[ProvenanceRecord, ...]:
         """Commit a staged request in staging order; returns its records.
 
         Waits for the request's turn.  At the head of the queue it commits
-        every request staged before its commit began and not waiting to
-        read, as one group: one sign and seal, one store batch.  If an
-        earlier request's commit took this one along, this only waits for
-        that commit's outcome.
+        every request queued when its commit began, as one group: one sign
+        and seal, one store batch.  If an earlier request's commit took
+        this one along, this only waits for that commit's outcome.
 
         Raises:
             The group's failure: the committing request's own error, the
@@ -405,11 +339,7 @@ class TenantWorld:
                 return queued.records()
             if queued.state == _Queued.FAILED:
                 raise queued.error
-            group: List[_Queued] = []
-            for entry in self._queue:
-                if entry.reading:
-                    break
-                group.append(entry)
+            group = list(self._queue)
         try:
             self.db.collector.commit(
                 [write for entry in group for write in entry.writes], lock=self.lock
@@ -425,17 +355,17 @@ class TenantWorld:
         return queued.records()
 
     def _fail(self, group: List[_Queued], exc: BaseException) -> None:
-        """Fail ``group`` and every write staged after it; roll them back,
-        newest first, in one hold of the world lock.
+        """Fail every queued request, ``group`` and all staged after it;
+        roll them back, newest first, in one hold of the world lock.
 
         Their requests are answered as soon as they are failed; a retry
         needs the world lock to stage, so it stages after the rollback.
         """
         with self.lock:
             with self._turns:
-                failed = [entry for entry in self._queue if not entry.reading]
+                failed = list(self._queue)
+                self._queue.clear()
                 for entry in failed:
-                    self._queue.remove(entry)
                     if entry in group:
                         entry.error = _echo(exc)
                     else:
@@ -671,12 +601,16 @@ class ProvenanceService:
     def verify(self, tenant_id: str, object_id: str) -> Dict[str, object]:
         """Verify one object as a recipient would; notarize the act.
 
-        The verify reads once every write staged before it has committed
-        (see :meth:`TenantWorld.begin_read`), and no write stages until
-        it has staged its ``VERIFY`` record, so its answer (a 404
-        included) never depends on an uncommitted write.  The shipment is
-        checked without the world lock, and the ``VERIFY`` record is
-        committed before this returns.
+        Under the world lock the verify pins the object's snapshot, its
+        newest staged seq id and the newest queued request holding one of
+        its records (of any object, if the object does not exist: a
+        pending delete holds no record).  It waits, without the lock,
+        until that request has committed, and answers 404 only then, so
+        its answer never depends on an uncommitted write.  It reads the
+        closure of the pinned record, so a write staged after the pin
+        does not show, checks the shipment without the lock, and stages
+        and commits its ``VERIFY`` record like any write before it
+        returns.  It holds no write back.
 
         The check runs serially in this process, whatever the caller
         sends: a closure holds a few records, far below the process
@@ -687,22 +621,30 @@ class ProvenanceService:
         sequence numbers, no timings): under concurrent load the audit
         chain's interleaving is scheduling-dependent, but this payload —
         for a client whose objects are its own — is not.
+
+        Raises:
+            TransientStoreError: If the write it waited on failed to
+                commit (retry).
         """
         self._boundary()
         world = self.world(tenant_id)
-        queued = world.begin_read(object_id)
-        try:
-            with world.lock:
-                if object_id not in world.db.store:
-                    raise UnknownObjectError(
-                        f"tenant {tenant_id!r} has no object {object_id!r}"
-                    )
-                shipment = world.db.ship(object_id)
-            report = shipment.verify(world.keystore)
-            world.end_read(queued, lambda: self._append_audit(world, object_id, report))
-        except BaseException:
-            world.withdraw(queued)
-            raise
+        with world.lock:
+            snapshot = tail = None
+            if object_id in world.db.store:
+                snapshot = SubtreeSnapshot.capture(world.db.store, object_id)
+                tail = world.db.collector.tail(object_id)
+            pinned = world.newest(object_id if snapshot is not None else None)
+        world.wait_committed(pinned)
+        if snapshot is None:
+            raise UnknownObjectError(
+                f"tenant {tenant_id!r} has no object {object_id!r}"
+            )
+        with world.lock:
+            shipment = Shipment.build(
+                world.db, object_id, snapshot, None if tail is None else tail.seq_id
+            )
+        report = shipment.verify(world.keystore)
+        _, queued = world.stage(lambda: self._append_audit(world, object_id, report))
         world.commit(queued)
         if OBS.enabled:
             OBS.registry.counter(

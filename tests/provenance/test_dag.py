@@ -10,6 +10,7 @@ from repro.exceptions import BrokenChainError, ReproError
 from repro.provenance.dag import ProvenanceDAG
 from repro.provenance.records import ObjectState, Operation, ProvenanceRecord
 from repro.provenance.registry import open_tenant_store
+from repro.provenance.snapshot import SubtreeSnapshot
 
 
 def rec(object_id, seq, op=Operation.UPDATE, inputs=(), participant="p"):
@@ -208,8 +209,8 @@ class _FullDAGDatabase:
         self.ca = db.ca
         self._records = db.provenance_store.all_records
 
-    def provenance_object(self, object_id):
-        return ProvenanceDAG(self._records()).ancestry(object_id)
+    def provenance_object(self, object_id, seq_id=None):
+        return ProvenanceDAG(self._records()).ancestry(object_id, seq_id)
 
 
 class TestClosureDAG:
@@ -233,12 +234,25 @@ class TestClosureDAG:
             full = ProvenanceDAG(store.all_records())
             shapes = set()
             for object_id in store.object_ids():
-                closure = ProvenanceDAG.of(store, object_id).ancestry(object_id)
+                of = ProvenanceDAG.of(store, object_id)
+                closure = of.ancestry(object_id)
                 assert closure == full.ancestry(object_id), object_id
+                # Cut at every record of the chain, as a pinned verify reads.
+                for record in store.records_for(object_id):
+                    cut = of.ancestry(object_id, record.seq_id)
+                    assert cut == full.ancestry(object_id, record.seq_id), record.key
+                    assert cut[-1] == record, record.key
                 shapes.add(full.is_linear(object_id))
                 if object_id in db.store:
                     assert (
                         Shipment.build(db, object_id).to_json()
                         == Shipment.build(_FullDAGDatabase(db), object_id).to_json()
                     )
+                    snapshot = SubtreeSnapshot.capture(db.store, object_id)
+                    for record in store.records_for(object_id):
+                        pinned = (object_id, snapshot, record.seq_id)
+                        assert (
+                            Shipment.build(db, *pinned).to_json()
+                            == Shipment.build(_FullDAGDatabase(db), *pinned).to_json()
+                        )
         assert shapes == {True, False}  # linear and non-linear objects alike

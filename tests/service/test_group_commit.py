@@ -7,11 +7,17 @@ What the pipeline must hold, each pinned below:
   and each reply carries exactly its own records;
 - while a signature is being computed the world lock is free, so reads
   of the same tenant complete;
-- a verify waits for the writes staged before it (another verify's
-  ``VERIFY`` record excepted, unless it verifies the audit chain), and
+- a verify pins its target's state and waits for the newest queued
+  write of the target (of any object, if the target does not exist),
+  and for nothing else: another verify's ``VERIFY`` record holds back
+  only a verify of the audit chain.  A 404 comes only after that wait;
   its own ``VERIFY`` record is committed before it answers;
-- a write that waits for verifies to read is not overtaken by verifies
-  that arrive after it, so overlapping verifies cannot starve it;
+- a verify reports the state it pinned, even when a later update of its
+  target commits before it reads;
+- no write waits for a verify, not even while the verify checks its
+  shipment;
+- a verify whose pinned write fails to commit answers a transient error
+  and stores no ``VERIFY`` record;
 - a commit that fails past the retry budget fails its group and every
   write staged after it — a ``VERIFY`` record staged while the failure
   is under way included: all answered 503, undone, nothing stored, and
@@ -20,8 +26,8 @@ What the pipeline must hold, each pinned below:
   earlier writes still to commit;
 - under a stress of more threads than CPUs, with the GIL switching as
   often as it can, nothing fails, every chain is contiguous and every
-  verify is ok — and no thread ever waits in the commit queue while it
-  holds the world lock.
+  verify is ok, of any object of the tenant — and no thread ever waits
+  in the commit queue while it holds the world lock.
 
 Every wait is bounded, and keys are 512 bits.
 """
@@ -39,7 +45,7 @@ import pytest
 from repro.core.collector import TRANSIENT_STORE_ERRORS
 from repro.core.shipment import Shipment
 from repro.crypto.signatures import MerkleBatchSignatureScheme
-from repro.exceptions import TransientStoreError
+from repro.exceptions import TransientStoreError, UnknownObjectError
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.service import AUDIT_OBJECT, ProvenanceService, ServiceClient, signers
 from repro.service.core import TenantWorld
@@ -85,6 +91,33 @@ class Hold:
 
     def release(self) -> None:
         self.released.set()
+
+
+class Pins:
+    """Records what each verify pinned: the queued request it waits for
+    (:meth:`TenantWorld.wait_committed`, when there is one) and the
+    object and seq id of the closure it reads (``Shipment.build``)."""
+
+    def __init__(self, monkeypatch):
+        self.waits = []
+        self.reads = []
+        wait_committed = TenantWorld.wait_committed
+        build = Shipment.build.__func__
+
+        def waiting(world, queued):
+            if queued is not None:
+                self.waits.append(queued)
+            return wait_committed(world, queued)
+
+        def reading(cls, db, object_id, snapshot=None, seq_id=None):
+            self.reads.append((object_id, seq_id))
+            return build(cls, db, object_id, snapshot, seq_id)
+
+        monkeypatch.setattr(TenantWorld, "wait_committed", waiting)
+        monkeypatch.setattr(Shipment, "build", classmethod(reading))
+
+    def wait_pinned(self) -> None:
+        wait_for(lambda: self.waits, "a verify to pin a write")
 
 
 def wait_for(condition, what: str) -> None:
@@ -187,12 +220,13 @@ def test_reads_complete_while_a_signature_is_held(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# verify waits for the writes staged before it
+# verify: pin, then wait
 # ----------------------------------------------------------------------
 
 
 def test_verify_waits_for_a_pending_update(monkeypatch):
     hold = Hold(monkeypatch)
+    pins = Pins(monkeypatch)
     service = pooled_service(monkeypatch)
     try:
         service.record(TENANT, "insert", "x", 1)
@@ -201,12 +235,16 @@ def test_verify_waits_for_a_pending_update(monkeypatch):
         with ThreadPoolExecutor(2) as pool:
             update = in_thread(pool, service.record, TENANT, "update", "x", 2)
             hold.wait_held()
+            pending = world.newest("x")
             verify = in_thread(pool, service.verify, TENANT, "x")
-            wait_for(lambda: len(world._queue) == 2, "the verify to queue")
-            assert not verify.done()
+            pins.wait_pinned()
+            assert pins.waits == [pending]
+            time.sleep(0.05)
+            assert not verify.done() and pins.reads == [], "read before the update committed"
             hold.release()
             assert update.result(TIMEOUT)["records"][0]["seq_id"] == 1
             report = verify.result(TIMEOUT)
+        assert pins.reads == [("x", 1)]
         assert report["ok"] and report["records_checked"] == 2
         # The VERIFY record was committed before the verify answered.
         audit = world.store.records_for(AUDIT_OBJECT)
@@ -219,27 +257,103 @@ def test_verify_waits_for_a_pending_update(monkeypatch):
 
 def test_verify_of_an_uncommitted_insert_is_not_a_404_it_waits(monkeypatch):
     hold = Hold(monkeypatch)
+    pins = Pins(monkeypatch)
     service = pooled_service(monkeypatch)
     try:
+        world = service.world(TENANT)
         hold.arm()
         with ThreadPoolExecutor(2) as pool:
             insert = in_thread(pool, service.record, TENANT, "insert", "fresh", 1)
             hold.wait_held()
+            pending = world.newest("fresh")
             verify = in_thread(pool, service.verify, TENANT, "fresh")
-            wait_for(lambda: len(service.world(TENANT)._queue) == 2, "the verify to queue")
+            pins.wait_pinned()
+            assert pins.waits == [pending] and not verify.done()
             hold.release()
             insert.result(TIMEOUT)
             assert verify.result(TIMEOUT)["records_checked"] == 1
+        assert pins.reads == [("fresh", 0)]
     finally:
         hold.release()
         service.close()
 
 
+def test_verify_of_an_object_whose_delete_is_pending_waits_then_404s(monkeypatch):
+    """A pending delete of a root object holds no record of it, so the
+    verify pins the newest queued request of all, and answers 404 only
+    once that has committed."""
+    hold = Hold(monkeypatch)
+    pins = Pins(monkeypatch)
+    service = pooled_service(monkeypatch)
+    try:
+        service.record(TENANT, "insert", "x", 1)
+        world = service.world(TENANT)
+        hold.arm()
+        with ThreadPoolExecutor(3) as pool:
+            insert = in_thread(pool, service.record, TENANT, "insert", "y", 2)
+            hold.wait_held()  # the insert of y is signing
+            delete = in_thread(pool, service.record, TENANT, "delete", "x")
+            wait_for(lambda: "x" not in world.db.store, "the delete to stage")
+            with world.lock:  # held by the delete until it is queued
+                pending = world.newest()
+            verify = in_thread(pool, service.verify, TENANT, "x")
+            pins.wait_pinned()
+            assert pins.waits == [pending]
+            time.sleep(0.05)
+            assert not verify.done(), "answered before the delete committed"
+            hold.release()
+            insert.result(TIMEOUT)
+            assert delete.result(TIMEOUT)["records"] == []
+            with pytest.raises(UnknownObjectError):
+                verify.result(TIMEOUT)
+        assert pins.reads == []
+        assert AUDIT_OBJECT not in world.store.object_ids()
+    finally:
+        hold.release()
+        service.close()
+
+
+def test_a_verify_reports_the_state_it_pinned(monkeypatch):
+    """An update of the verified object that stages and commits after the
+    verify pinned, and before it reads, does not show: the closure is cut
+    at the pinned record, which matches the pinned snapshot."""
+    pinned = threading.Event()
+    resume = threading.Event()
+    original = TenantWorld.wait_committed
+
+    def wait_committed(world, queued):
+        pinned.set()
+        assert resume.wait(TIMEOUT), "never resumed"
+        return original(world, queued)
+
+    monkeypatch.setattr(TenantWorld, "wait_committed", wait_committed)
+    service = ProvenanceService(make_config())
+    try:
+        service.record(TENANT, "insert", "x", 1)
+        service.record(TENANT, "update", "x", 2)
+        with ThreadPoolExecutor(1) as pool:
+            verify = in_thread(pool, service.verify, TENANT, "x")
+            assert pinned.wait(TIMEOUT), "the verify never pinned"
+            assert service.record(TENANT, "update", "x", 3)["records"][0]["seq_id"] == 2
+            resume.set()
+            report = verify.result(TIMEOUT)
+        assert report["ok"], report["summary"]
+        assert report["records_checked"] == 2
+        assert [r.seq_id for r in service.world(TENANT).store.records_for("x")] == [0, 1, 2]
+        resume.set()
+        assert service.verify(TENANT, "x")["records_checked"] == 3
+    finally:
+        resume.set()
+        service.close()
+
+
 def test_a_verify_reads_while_another_verifys_record_commits(monkeypatch):
     """A VERIFY record touches only the audit chain, so a verify of any
-    other object reads without waiting for it (its own record still
-    commits after it); a verify of the chain itself waits."""
+    other object pins no write and reads while it commits (its own record
+    still commits after it); a verify of the chain itself waits for the
+    newest record of it."""
     hold = Hold(monkeypatch)
+    pins = Pins(monkeypatch)
     service = pooled_service(monkeypatch)
     try:
         service.record(TENANT, "insert", "a", 1)
@@ -251,17 +365,24 @@ def test_a_verify_reads_while_another_verifys_record_commits(monkeypatch):
             hold.wait_held()  # the first verify's VERIFY record
             second = in_thread(pool, service.verify, TENANT, "b")
             wait_for(
-                lambda: len(world._queue) == 2 and not world._queue[1].reading,
+                lambda: world.db.collector.tail(AUDIT_OBJECT).seq_id == 1,
                 "the second verify to read and stage its record",
             )
+            assert pins.waits == [] and pins.reads == [("a", 0), ("b", 0)]
+            with world.lock:  # held by the second verify until it is queued
+                pending = world.newest(AUDIT_OBJECT)
             of_audit = in_thread(pool, service.verify, TENANT, AUDIT_OBJECT)
-            wait_for(lambda: len(world._queue) == 3, "the audit verify to queue")
+            pins.wait_pinned()
+            assert pins.waits == [pending]
             time.sleep(0.05)
-            assert world._queue[2].reading, "read the audit chain before it committed"
+            assert not of_audit.done() and len(pins.reads) == 2, (
+                "read the audit chain before it committed"
+            )
             hold.release()
             replies = [f.result(TIMEOUT) for f in (first, second, of_audit)]
         assert all(reply["ok"] for reply in replies)
         # Both VERIFY records before it were committed when it read.
+        assert pins.reads[2] == (AUDIT_OBJECT, 1)
         assert replies[2]["records_checked"] == 2
         assert [r.seq_id for r in world.store.records_for(AUDIT_OBJECT)] == [0, 1, 2]
     finally:
@@ -269,45 +390,76 @@ def test_a_verify_reads_while_another_verifys_record_commits(monkeypatch):
         service.close()
 
 
-def test_overlapping_verifies_do_not_starve_a_write(monkeypatch):
-    """Two verifiers in a loop keep a verify reading at every moment (the
-    next one queues while the last one checks its shipment); a write that
-    arrives must still stage once the verifies queued before it have."""
+def test_a_write_commits_while_a_verify_checks_its_shipment(monkeypatch):
+    """A verify holds no write back: while it checks its shipment, an
+    update of the very object it verifies stages and commits."""
+    checking = threading.Event()
+    released = threading.Event()
     original = Shipment.verify
 
-    def slow_verify(shipment, *args, **kwargs):
-        time.sleep(0.02)
+    def held_verify(shipment, *args, **kwargs):
+        checking.set()
+        assert released.wait(TIMEOUT), "the check was never released"
         return original(shipment, *args, **kwargs)
 
-    monkeypatch.setattr(Shipment, "verify", slow_verify)
+    monkeypatch.setattr(Shipment, "verify", held_verify)
     service = ProvenanceService(make_config())
-    stop = threading.Event()
     try:
         service.record(TENANT, "insert", "a", 1)
-        world = service.world(TENANT)
-        deadline = time.monotonic() + TIMEOUT
-
-        def verifier() -> int:
-            rounds = 0
-            while not stop.is_set() and time.monotonic() < deadline:
-                assert service.verify(TENANT, "a")["ok"]
-                rounds += 1
-            return rounds
-
-        with ThreadPoolExecutor(3) as pool:
-            verifiers = [in_thread(pool, verifier) for _ in range(2)]
-            wait_for(lambda: len(world._queue) == 2, "two verifies to overlap")
+        with ThreadPoolExecutor(2) as pool:
+            verify = in_thread(pool, service.verify, TENANT, "a")
+            assert checking.wait(TIMEOUT), "the verify never checked its shipment"
             update = in_thread(pool, service.record, TENANT, "update", "a", 2)
             try:
                 done, _ = wait([update], timeout=5.0)
-                assert done, "the write waited 5 s behind verifies that came after it"
+                assert done, "the write waited 5 s for a verify checking its shipment"
             finally:
-                stop.set()
+                released.set()
             assert update.result(TIMEOUT)["records"][0]["seq_id"] == 1
-            assert all(v.result(TIMEOUT) > 0 for v in verifiers)
+            report = verify.result(TIMEOUT)
+        assert report["ok"] and report["records_checked"] == 1
         assert service.verify(TENANT, "a")["records_checked"] == 2
     finally:
-        stop.set()
+        released.set()
+        service.close()
+
+
+def test_a_verify_whose_pinned_write_fails_answers_a_transient_error(monkeypatch):
+    # append_many #0 is the insert; #1-#3 fail: the first attempt and
+    # both retries of the held update's commit.
+    plan = FaultPlan(seed=3, rules=(FaultRule(
+        site="store.append_many", kind=FaultKind.ERROR,
+        indices=frozenset({1, 2, 3}),
+    ),))
+    hold = Hold(monkeypatch)
+    pins = Pins(monkeypatch)
+    service = pooled_service(monkeypatch, faults=plan, retry_backoff=0.0)
+    try:
+        service.record(TENANT, "insert", "x", 1)
+        world = service.world(TENANT)
+        hold.arm()
+        with ThreadPoolExecutor(2) as pool:
+            update = in_thread(pool, service.record, TENANT, "update", "x", 2)
+            hold.wait_held()
+            pending = world.newest("x")
+            verify = in_thread(pool, service.verify, TENANT, "x")
+            pins.wait_pinned()
+            assert pins.waits == [pending]
+            hold.release()
+            with pytest.raises(TRANSIENT_STORE_ERRORS):
+                update.result(TIMEOUT)
+            with pytest.raises(TransientStoreError):
+                verify.result(TIMEOUT)
+        # It read nothing and stored no VERIFY record.
+        assert pins.reads == []
+        assert world.store.records_for(AUDIT_OBJECT) == ()
+        assert AUDIT_OBJECT not in world.db.store
+        assert len(world._queue) == 0
+        # The update was rolled back; a retried verify sees the insert.
+        report = service.verify(TENANT, "x")
+        assert report["ok"] and report["records_checked"] == 1
+    finally:
+        hold.release()
         service.close()
 
 
@@ -571,9 +723,12 @@ class Client:
             ops += [("insert", self.new_id()) for _ in range(4 - len(ops))]
             self.write(tenant, ops)
         elif kind == "verify":
-            oid = self.rng.choice(owned)
+            # Any object of the tenant: other clients' objects with
+            # pending writes and the audit chain included.
+            oid = self.rng.choice(service.objects(tenant)["objects"])
             report = service.verify(tenant, oid)
-            if not report["ok"] or report["records_checked"] < self.chains[(tenant, oid)]:
+            known = self.chains.get((tenant, oid), 0)
+            if not report["ok"] or report["records_checked"] < known:
                 self.errors.append(f"verify {tenant}/{oid}: {report['summary']}")
         elif kind == "provenance":
             oid = self.rng.choice(owned)
