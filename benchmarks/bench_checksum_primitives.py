@@ -80,7 +80,6 @@ def test_merkle_batch_sign(benchmark, bench_key_bits):
     scheme = MerkleBatchSignatureScheme(keypair.private)
     leaf = benchmark(scheme.sign, b"checksum payload")
     assert len(leaf) == 20
-    scheme.abort_batch()
 
 
 def test_merkle_batch_seal(benchmark, bench_key_bits):
@@ -89,9 +88,7 @@ def test_merkle_batch_seal(benchmark, bench_key_bits):
     flush_payloads = [f"checksum payload {i}".encode() for i in range(64)]
 
     def seal_one_flush():
-        for payload in flush_payloads:
-            scheme.sign(payload)
-        return scheme.seal_batch()
+        return scheme.seal_batch([scheme.sign(payload) for payload in flush_payloads])
 
     proofs = benchmark(seal_one_flush)
     assert len(proofs) == len(flush_payloads)

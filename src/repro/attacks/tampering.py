@@ -43,7 +43,7 @@ def attacker_checksum(attacker: Participant, payload: bytes):
 
     Returns ``(checksum, proof)``.  For per-record schemes the proof is
     ``None``.  For the Merkle-batch scheme the attacker — who controls
-    their own signing stack — seals a fresh (typically single-leaf) batch
+    their own signing stack — seals a fresh single-leaf batch
     immediately, exactly as a real flush of one record would, so the
     forged record carries a self-consistent inclusion proof.  Leaving a
     victim's stale proof (or none) in place would make forgeries fail
@@ -53,7 +53,7 @@ def attacker_checksum(attacker: Participant, payload: bytes):
     """
     from repro.crypto.signatures import sign_detached
 
-    return sign_detached(attacker.scheme)(payload)
+    return sign_detached(attacker.scheme, payload)
 
 
 def find_record(shipment: Shipment, object_id: str, seq_id: int) -> ProvenanceRecord:

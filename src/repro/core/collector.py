@@ -525,45 +525,39 @@ class ChecksumCollector:
         participant = writes[0].participant
         lock = nullcontext() if lock is None else lock
         staged = [item for write in writes for item in write.staged]
-        try:
-            records = self._sign(participant, staged)
-            # The flush span nests under whatever is open on this thread
-            # — for a served request, the handler's http.request span,
-            # itself parented on the client's traceparent context — so
-            # the collector leg shows up in the distributed trace tree.
-            with obs.phase("collector.flush", staged=len(records)):
-                records = self._seal(participant, records)
-                self._observe_flush(records)
-                log = OBS.events
-                unsigned = [record for record, _ in staged]
-                if log is None:
-                    self._store(records, unsigned, lock)
-                else:
-                    # One correlation id per flush: the collector.flush
-                    # event and the store.batch (and any verify.report
-                    # consuming the same operation) emitted inside this
-                    # scope share it, threading collector -> store ->
-                    # verifier through the event stream.  When a caller
-                    # already opened a correlation scope — the HTTP front
-                    # end opens one per request — the flush *joins* it
-                    # instead of minting a fresh id, so one request's
-                    # events read as one causal chain: http.request ->
-                    # collector.flush -> store.batch.
-                    from repro.obs.events import current_correlation
+        records = self._sign(participant, staged)
+        # The flush span nests under whatever is open on this thread
+        # — for a served request, the handler's http.request span,
+        # itself parented on the client's traceparent context — so
+        # the collector leg shows up in the distributed trace tree.
+        with obs.phase("collector.flush", staged=len(records)):
+            records = self._seal(participant, records)
+            self._observe_flush(records)
+            log = OBS.events
+            unsigned = [record for record, _ in staged]
+            if log is None:
+                self._store(records, unsigned, lock)
+            else:
+                # One correlation id per flush: the collector.flush
+                # event and the store.batch (and any verify.report
+                # consuming the same operation) emitted inside this
+                # scope share it, threading collector -> store ->
+                # verifier through the event stream.  When a caller
+                # already opened a correlation scope — the HTTP front
+                # end opens one per request — the flush *joins* it
+                # instead of minting a fresh id, so one request's
+                # events read as one causal chain: http.request ->
+                # collector.flush -> store.batch.
+                from repro.obs.events import current_correlation
 
-                    with log.correlation(current_correlation()):
-                        log.emit(
-                            "collector.flush",
-                            records=len(records),
-                            objects=len({record.object_id for record in records}),
-                            inherited=sum(1 for r in records if r.inherited),
-                        )
-                        self._store(records, unsigned, lock)
-        except BaseException:
-            abort = getattr(participant.scheme, "abort_batch", None)
-            if abort is not None:
-                abort()
-            raise
+                with log.correlation(current_correlation()):
+                    log.emit(
+                        "collector.flush",
+                        records=len(records),
+                        objects=len({record.object_id for record in records}),
+                        inherited=sum(1 for r in records if r.inherited),
+                    )
+                    self._store(records, unsigned, lock)
         at = 0
         for write in writes:
             write.records = records[at:at + len(write.staged)]
@@ -602,19 +596,13 @@ class ChecksumCollector:
         """Close the batch-signature envelope over the signed records.
 
         Per-record schemes are a no-op.  A batch scheme (duck-typed on
-        ``seal_batch``) signed every record's payload into a pending leaf
-        on this thread, in staging order, so its proofs zip positionally
-        onto the records.
+        ``seal_batch``) seals the records' checksums, their leaf digests,
+        in staging order, so its proofs zip positionally onto the records.
         """
         seal = getattr(participant.scheme, "seal_batch", None)
         if seal is None or not records:
             return records
-        proofs = seal()
-        if len(proofs) != len(records):
-            raise ProvenanceError(
-                f"batch seal produced {len(proofs)} proofs for "
-                f"{len(records)} staged records"
-            )
+        proofs = seal([record.checksum for record in records])
         return tuple(
             record.with_proof(proof) for record, proof in zip(records, proofs)
         )

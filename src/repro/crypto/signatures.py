@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hmac
 import threading
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro import obs
 from repro.crypto import pkcs1
@@ -206,13 +206,14 @@ class MerkleBatchSignatureScheme:
     ``sign(payload)`` is cheap and deterministic — it returns the
     domain-tagged *leaf digest* of the payload, which becomes the
     record's stored checksum (successor records chain on it immediately,
-    exactly as they chain on per-record RSA checksums today).  The leaf
-    is buffered on a per-thread pending list; when the collector flushes
-    its staged batch it calls :meth:`seal_batch`, which builds one Merkle
-    tree over the pending leaves, RSA-signs the domain-tagged
-    ``(epoch, count, root)`` message with the participant's key, and
-    returns one :class:`~repro.crypto.proofs.BatchProof` per record, in
-    staging order.
+    exactly as they chain on per-record RSA checksums today) — and
+    records nothing.  A batch is the list of leaves its caller seals:
+    when the collector commits its staged records it passes their
+    checksums to :meth:`seal_batch`, which builds one Merkle tree over
+    them, RSA-signs the domain-tagged ``(epoch, count, root)`` message
+    with the participant's key, and returns one
+    :class:`~repro.crypto.proofs.BatchProof` per leaf, in the order
+    given.
 
     Soundness (DESIGN.md §10): a record verifies iff (1) the leaf digest
     of its payload equals its stored checksum **and** (2) the audit path
@@ -221,10 +222,9 @@ class MerkleBatchSignatureScheme:
     binds the checksum to an RSA signature — dropping either re-admits
     forgeries, so :func:`record_signature_valid` always applies both.
 
-    Thread safety mirrors the collector's commits: pending leaves are
-    thread-local (a commit signs and seals its batch on one thread),
-    while the epoch counter is shared under a lock so concurrent commits
-    never reuse an epoch.
+    The only state is the epoch counter, shared under a lock so that
+    concurrent seals never reuse an epoch; any thread may seal leaves
+    another thread signed.
 
     :attr:`root_signer` is the RSA scheme that signs each root.  The
     service swaps in one that computes the signature in its signer pool
@@ -238,7 +238,6 @@ class MerkleBatchSignatureScheme:
         self.root_signer = RSASignatureScheme(private_key, hash_algorithm)
         self.hash_algorithm = hash_algorithm
         self._alg = get_algorithm(hash_algorithm)
-        self._local = threading.local()
         self._epoch_lock = threading.Lock()
         self._next_epoch = 0
 
@@ -252,17 +251,6 @@ class MerkleBatchSignatureScheme:
         """Per-record stored checksum size — one digest, not a modulus."""
         return self._alg.digest_size
 
-    @property
-    def _pending(self) -> list:
-        pending = getattr(self._local, "pending", None)
-        if pending is None:
-            pending = self._local.pending = []
-        return pending
-
-    def pending_count(self) -> int:
-        """Leaves signed but not yet sealed on this thread."""
-        return len(self._pending)
-
     def resume_after(self, epoch: Optional[int]) -> None:
         """Seal later batches under epochs after ``epoch`` (the largest
         one already stored), so epochs stay monotone across a restart."""
@@ -271,55 +259,44 @@ class MerkleBatchSignatureScheme:
                 self._next_epoch = max(self._next_epoch, epoch + 1)
 
     def sign(self, message: bytes) -> bytes:
-        """Stage one leaf; returns the leaf digest (the record checksum)."""
+        """The leaf digest of ``message`` (the record checksum)."""
         batch_leaf, _, _, _ = _batch_merkle()
         leaf = batch_leaf(message, self.hash_algorithm)
-        self._pending.append(leaf)
         if OBS.enabled:
             OBS.registry.counter("crypto.sign.count", scheme=self.scheme_name).inc()
         return leaf
 
-    def seal_batch(self) -> Tuple[BatchProof, ...]:
-        """Close this thread's batch: sign the root, emit one proof per leaf.
+    def seal_batch(self, leaves: Sequence[bytes]) -> Tuple[BatchProof, ...]:
+        """Seal ``leaves`` under the next epoch: sign their root, one proof each.
 
-        Returns proofs in the order :meth:`sign` was called — the
-        collector zips them onto its staged records positionally.  An
-        empty pending list seals to an empty tuple (nothing was staged).
+        Returns proofs in the order of ``leaves`` — the collector zips
+        them onto its signed records positionally.  No leaves seal to an
+        empty tuple and take no epoch.
         """
-        leaves = self._pending
         if not leaves:
             return ()
-        batch = list(leaves)
-        self._local.pending = []
+        count = len(leaves)
         with self._epoch_lock:
             epoch = self._next_epoch
             self._next_epoch += 1
         with obs.phase("proof.build"):
             _, batch_root, batch_audit_paths, _ = _batch_merkle()
-            root = batch_root(batch, self.hash_algorithm)
-            paths = batch_audit_paths(batch, self.hash_algorithm)
-            signature = self.root_signer.sign(
-                batch_root_message(epoch, len(batch), root)
-            )
+            root = batch_root(leaves, self.hash_algorithm)
+            paths = batch_audit_paths(leaves, self.hash_algorithm)
+            signature = self.root_signer.sign(batch_root_message(epoch, count, root))
             if OBS.enabled:
                 OBS.registry.counter("crypto.batch_seal.count").inc()
-                OBS.registry.histogram("crypto.batch_seal.leaves").observe(len(batch))
+                OBS.registry.histogram("crypto.batch_seal.leaves").observe(count)
             return tuple(
                 BatchProof(
                     epoch=epoch,
                     index=index,
-                    count=len(batch),
-                    path=paths[index],
+                    count=count,
+                    path=path,
                     root_signature=signature,
                 )
-                for index in range(len(batch))
+                for index, path in enumerate(paths)
             )
-
-    def abort_batch(self) -> int:
-        """Drop this thread's pending leaves (staging was aborted)."""
-        dropped = len(self._pending)
-        self._local.pending = []
-        return dropped
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Leaf-equality check only — NOT a cryptographic verification.
@@ -350,7 +327,7 @@ class MerkleBatchSignatureScheme:
     def __repr__(self) -> str:
         return (
             f"MerkleBatchSignatureScheme(key={self.public_key.fingerprint()}, "
-            f"hash={self.hash_algorithm}, pending={self.pending_count()})"
+            f"hash={self.hash_algorithm})"
         )
 
 
@@ -397,58 +374,36 @@ def record_signature_valid(
     key, record, payload: bytes, root_cache: Optional[dict] = None
 ) -> bool:
     """Scheme-aware record checksum verification — the single dispatch
-    point of :class:`repro.core.verifier.Verifier`'s chain walk.
-
-    For Merkle-batch records (scheme + attached proof) this checks leaf
-    equality plus the inclusion proof against the signed root; for
-    everything else it is exactly the per-record ``key.verify``.  A
-    merkle-batch record whose proof was stripped falls through to the
-    per-record path and fails there (a digest is never a valid RSA
-    signature), so proof removal is detected, not ignored.
+    point of :class:`repro.core.verifier.Verifier`'s chain walk: the
+    record's checksum is checked as :func:`detached_signature_valid`
+    checks any signature, under the record's scheme, proof and hash
+    algorithm.
 
     ``root_cache`` (any mutable mapping) memoizes the RSA root check per
     ``(participant, epoch, count, root, signature)`` — one modular
     exponentiation per batch instead of per record.
     """
-    proof = getattr(record, "proof", None)
-    if proof is not None and record.scheme == MERKLE_BATCH_SCHEME:
-        return _batch_proof_valid(
-            key, payload, record.checksum, proof, record.hash_algorithm,
-            root_cache, record.participant_id,
-        )
-    return key.verify(payload, record.checksum)
+    return detached_signature_valid(
+        key, payload, record.checksum, record.scheme, record.proof,
+        record.hash_algorithm, root_cache, record.participant_id,
+    )
 
 
-def sign_detached(scheme) -> "_DetachedSigner":
-    """A closure signing single messages immediately verifiable.
+def sign_detached(scheme, message: bytes) -> Tuple[bytes, Optional[BatchProof]]:
+    """Sign one message so that it verifies on its own.
 
     Per-record schemes return ``(signature, None)``.  The Merkle-batch
-    scheme stages and immediately seals a *single-leaf batch*, returning
-    ``(leaf_digest, proof)`` — the same shape the collector produces per
-    flush, just with ``count == 1``.  Used wherever a signature is
-    created outside collector staging: custody countersignatures, witness
-    anchors, and attacker re-signs.
-
-    Must not be called with leaves already pending on this thread (the
-    seal would sweep them up); collector staging never spans calls, so
-    the invariant holds everywhere this is used.
+    scheme seals the message's leaf as a *single-leaf batch*, returning
+    ``(leaf_digest, proof)`` — the shape a commit gives each record,
+    just with ``count == 1``.  Used wherever a signature is created
+    outside a commit: custody countersignatures and attacker re-signs.
     """
-    return _DetachedSigner(scheme)
-
-
-class _DetachedSigner:
-    """See :func:`sign_detached`."""
-
-    def __init__(self, scheme):
-        self._scheme = scheme
-
-    def __call__(self, message: bytes) -> Tuple[bytes, Optional[BatchProof]]:
-        scheme = self._scheme
-        signature = scheme.sign(message)
-        seal = getattr(scheme, "seal_batch", None)
-        if seal is None:
-            return signature, None
-        return signature, seal()[-1]
+    signature = scheme.sign(message)
+    seal = getattr(scheme, "seal_batch", None)
+    if seal is None:
+        return signature, None
+    (proof,) = seal((signature,))
+    return signature, proof
 
 
 def detached_signature_valid(
@@ -461,13 +416,14 @@ def detached_signature_valid(
     root_cache: Optional[dict] = None,
     participant_id: str = "",
 ) -> bool:
-    """Verify a detached signature produced by :func:`sign_detached`.
+    """Verify a signature under its scheme: the one Merkle-batch check.
 
-    Mirrors :func:`record_signature_valid` for signatures that are not
-    record checksums (custody countersignatures, witness anchors): a
-    Merkle-batch signature with its proof attached is checked leaf +
-    inclusion + signed root; a stripped proof falls through to the
-    per-record path and fails there.
+    A Merkle-batch signature with its proof attached is checked leaf +
+    inclusion + signed root; everything else is exactly the per-record
+    ``key.verify``.  A Merkle-batch signature whose proof was stripped
+    falls through to the per-record path and fails there (a digest is
+    never a valid RSA signature), so proof removal is detected, not
+    ignored.
     """
     if proof is not None and scheme == MERKLE_BATCH_SCHEME:
         return _batch_proof_valid(

@@ -41,7 +41,7 @@ from repro.service.core import (
     TenantWorld,
     canonical_json,
 )
-from repro.service.http import ProvenanceHTTPServer, serve
+from repro.service.http import ProvenanceHTTPServer
 from repro.service.load import LoadReport, LoadSpec, run_load
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "TenantWorld",
     "canonical_json",
     "ProvenanceHTTPServer",
-    "serve",
     "ServiceClient",
     "ServiceHTTPError",
     "ServiceResponse",

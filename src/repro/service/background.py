@@ -125,9 +125,7 @@ class BackgroundMonitor:
             if world is None:  # racing a concurrent world build
                 continue
             try:
-                with world.lock:
-                    world.witness_tick()
-                    result = world.monitor().tick()
+                result = world.health_tick()
             except Exception:  # noqa: BLE001 — a faulted tenant is data,
                 self.errors += 1  # not a reason to stop watching the rest
                 continue

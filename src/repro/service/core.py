@@ -378,19 +378,21 @@ class TenantWorld:
                 self._turns.notify_all()
             self.db.rollback([write for entry in failed for write in entry.writes])
 
-    def witness_tick(self) -> int:
-        """Anchor the current chain tails; returns new-anchor count.
+    def health_tick(self, full: bool = False):
+        """One health step, under the world lock: anchor, then monitor.
 
-        Called under the world lock from the healthz pass BEFORE the
-        monitor tick, so every healthy state a monitor ever reported is
-        pinned by an anchor a later insider rewrite must contradict.
+        The witness anchors the current chain tails BEFORE the monitor
+        ticks (DESIGN.md §14.4, "anchor before reporting healthy"), so
+        every healthy state a monitor ever reported is pinned by an
+        anchor a later insider rewrite must contradict.  ``/healthz``
+        and the background sweep both take this step.
         """
-        if self.witness is None:
-            return 0
-        fresh = self.witness.tick(self.store)
-        if fresh and self._anchor_path is not None:
-            self.witness.log.save(self._anchor_path)
-        return len(fresh)
+        with self.lock:
+            if self.witness is not None:
+                fresh = self.witness.tick(self.store)
+                if fresh and self._anchor_path is not None:
+                    self.witness.log.save(self._anchor_path)
+            return self.monitor().tick(full=full)
 
     def monitor(self):
         """The tenant's health monitor (lazily built, watermark-backed)."""
@@ -772,10 +774,9 @@ class ProvenanceService:
         for tenant_id in self.tenant_ids():
             world = self._worlds[tenant_id]
             with world.lock:
-                monitor = world.monitor()
-                world.witness_tick()
-                result = monitor.tick(full=full)
+                result = world.health_tick(full)
                 if visible is None or tenant_id in visible:
+                    monitor = world.monitor()
                     tenants[tenant_id] = {
                         "health": result.health,
                         "records": result.records_total,

@@ -104,7 +104,7 @@ from repro.exceptions import (
 from repro.obs import OBS
 from repro.service.core import ProvenanceService, ServiceConfig, canonical_json
 
-__all__ = ["ProvenanceHTTPServer", "serve", "DEFAULT_RETRY_AFTER"]
+__all__ = ["ProvenanceHTTPServer", "DEFAULT_RETRY_AFTER"]
 
 #: ``Retry-After`` seconds sent with 503s.  Fractional (the bundled
 #: client parses floats) so chaos tests stay fast; real deployments
@@ -588,22 +588,3 @@ class ProvenanceHTTPServer(ThreadingHTTPServer):
         self.server_close()
         self.service.close()
 
-
-def serve(
-    config: Optional[ServiceConfig] = None,
-    host: str = "127.0.0.1",
-    port: int = 8734,
-    retry_after: float = DEFAULT_RETRY_AFTER,
-) -> ProvenanceHTTPServer:
-    """Build a server and run it in the foreground (CLI entry point)."""
-    server = ProvenanceHTTPServer(
-        config=config, host=host, port=port, retry_after=retry_after
-    )
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.service.close()
-    return server

@@ -169,8 +169,8 @@ def _rewrite_suffix(
                     output.digest,
                 )
                 countersignature, counter_proof = sign_detached(
-                    outgoing.scheme
-                )(message)
+                    outgoing.scheme, message
+                )
                 transfer = dataclasses.replace(
                     transfer,
                     countersignature=countersignature,
@@ -189,8 +189,8 @@ def _rewrite_suffix(
             proof=None,
         )
         prevs = (prev_checksum,) if prev_checksum is not None else ()
-        checksum, proof = sign_detached(member.scheme)(
-            payloads.record_payload(forged, prevs)
+        checksum, proof = sign_detached(
+            member.scheme, payloads.record_payload(forged, prevs)
         )
         forged = forged.with_checksum(checksum).with_proof(proof)
         replaced[record.seq_id] = forged

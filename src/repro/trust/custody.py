@@ -80,7 +80,7 @@ def build_transfer_record(
         previous.checksum,
         previous.output.digest,
     )
-    countersignature, counter_proof = sign_detached(outgoing.scheme)(message)
+    countersignature, counter_proof = sign_detached(outgoing.scheme, message)
     transfer = CustodyTransfer(
         from_participant=outgoing.participant_id,
         to_participant=incoming.participant_id,
@@ -101,8 +101,8 @@ def build_transfer_record(
         note=note,
         transfer=transfer,
     )
-    checksum, proof = sign_detached(incoming.scheme)(
-        payloads.record_payload(record, (previous.checksum,))
+    checksum, proof = sign_detached(
+        incoming.scheme, payloads.record_payload(record, (previous.checksum,))
     )
     return record.with_checksum(checksum).with_proof(proof)
 
@@ -211,7 +211,7 @@ def fabricate_handoff(
         object_id, seq_id, from_id, attacker.participant_id,
         tail.checksum, tail.output.digest,
     )
-    countersignature, counter_proof = sign_detached(attacker.scheme)(message)
+    countersignature, counter_proof = sign_detached(attacker.scheme, message)
     transfer = CustodyTransfer(
         from_participant=from_id,
         to_participant=attacker.participant_id,
@@ -231,8 +231,8 @@ def fabricate_handoff(
         hash_algorithm=tail.hash_algorithm,
         transfer=transfer,
     )
-    checksum, proof = sign_detached(attacker.scheme)(
-        payloads.record_payload(forged, (tail.checksum,))
+    checksum, proof = sign_detached(
+        attacker.scheme, payloads.record_payload(forged, (tail.checksum,))
     )
     forged = forged.with_checksum(checksum).with_proof(proof)
     records = tuple(shipment.records) + (forged,)

@@ -7,6 +7,7 @@ matrix; this file pins the building blocks.
 
 import dataclasses
 import random
+import threading
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.crypto.signatures import (
     MERKLE_BATCH_SCHEME,
     MerkleBatchSignatureScheme,
     record_signature_valid,
+    sign_detached,
 )
 from repro.exceptions import ProvenanceError
 
@@ -120,34 +122,25 @@ def test_sign_buffers_and_seal_drains(scheme):
     payloads = [f"p{i}".encode() for i in range(5)]
     checksums = [scheme.sign(p) for p in payloads]
     assert checksums == [batch_leaf(p) for p in payloads]  # deterministic
-    assert scheme.pending_count() == 5
-    proofs = scheme.seal_batch()
-    assert scheme.pending_count() == 0
+    proofs = scheme.seal_batch(checksums)
     assert len(proofs) == 5
     for payload, checksum, proof in zip(payloads, checksums, proofs):
         assert proof.count == 5
         assert scheme.verify_with_proof(payload, checksum, proof)
     # Epochs advance per sealed batch.
-    scheme.sign(b"next")
-    (next_proof,) = scheme.seal_batch()
+    (next_proof,) = scheme.seal_batch([scheme.sign(b"next")])
     assert next_proof.epoch == proofs[0].epoch + 1
     assert next_proof.count == 1 and next_proof.path == ()
 
 
 def test_seal_empty_batch_is_a_noop(scheme):
-    assert scheme.seal_batch() == ()
-
-
-def test_abort_discards_pending(scheme):
-    scheme.sign(b"doomed")
-    assert scheme.abort_batch() == 1
-    assert scheme.seal_batch() == ()
+    assert scheme.seal_batch(()) == ()
 
 
 def test_proof_from_wrong_record_does_not_verify(scheme):
     payloads = [b"a", b"b", b"c"]
     checksums = [scheme.sign(p) for p in payloads]
-    proofs = scheme.seal_batch()
+    proofs = scheme.seal_batch(checksums)
     assert not scheme.verify_with_proof(payloads[0], checksums[0], proofs[1])
     assert not scheme.verify_with_proof(b"evil", batch_leaf(b"evil"), proofs[0])
 
@@ -157,7 +150,7 @@ def test_record_signature_valid_dispatches_on_proof(scheme, keypair):
 
     payload = b"record payload"
     checksum = scheme.sign(payload)
-    (proof,) = scheme.seal_batch()
+    (proof,) = scheme.seal_batch([checksum])
     record = ProvenanceRecord(
         object_id="x",
         seq_id=0,
@@ -186,23 +179,29 @@ def test_record_signature_valid_dispatches_on_proof(scheme, keypair):
     assert record_signature_valid(rsa.verifier(), plain, payload)
 
 
-def test_batches_are_thread_local(scheme):
-    import threading
+def test_a_batch_seals_on_another_thread_than_the_one_that_signed_it(scheme):
+    payloads = [b"signed on one thread", b"sealed on another"]
+    leaves = [scheme.sign(p) for p in payloads]
+    sealed = []
+    worker = threading.Thread(target=lambda: sealed.append(scheme.seal_batch(leaves)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    (proofs,) = sealed
+    assert [proof.count for proof in proofs] == [2, 2]
+    assert all(map(scheme.verify_with_proof, payloads, leaves, proofs))
 
-    seen = {}
 
-    def worker():
-        scheme.sign(b"other thread")
-        seen["pending"] = scheme.pending_count()
-        scheme.abort_batch()
-
-    scheme.sign(b"main thread")
-    t = threading.Thread(target=worker)
-    t.start()
-    t.join()
-    assert seen["pending"] == 1  # not 2: the main thread's leaf is invisible
-    assert scheme.pending_count() == 1
-    scheme.abort_batch()
+def test_a_detached_signature_between_signs_and_seal_is_its_own_batch(scheme):
+    payloads = [b"batch leaf 0", b"batch leaf 1"]
+    leaves = [scheme.sign(p) for p in payloads]
+    checksum, detached = sign_detached(scheme, b"countersignature")
+    assert detached.count == 1
+    assert scheme.verify_with_proof(b"countersignature", checksum, detached)
+    proofs = scheme.seal_batch(leaves)
+    assert [proof.count for proof in proofs] == [2, 2]
+    assert proofs[0].epoch == detached.epoch + 1
+    assert all(map(scheme.verify_with_proof, payloads, leaves, proofs))
 
 
 # ---------------------------------------------------------------------------

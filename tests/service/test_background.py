@@ -158,7 +158,7 @@ class TestResilience:
         service.record("t2", "insert", "B", value=2)
         broken = service.world("t1")
         monkeypatch.setattr(
-            broken, "witness_tick",
+            broken, "health_tick",
             lambda: (_ for _ in ()).throw(RuntimeError("store on fire")),
         )
         monitor = BackgroundMonitor(service)

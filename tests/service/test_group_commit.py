@@ -144,8 +144,8 @@ def test_concurrent_batches_share_one_seal_and_keep_their_own_records(monkeypatc
     seals = []
     original_seal = MerkleBatchSignatureScheme.seal_batch
 
-    def seal_batch(scheme):
-        proofs = original_seal(scheme)
+    def seal_batch(scheme, leaves):
+        proofs = original_seal(scheme, leaves)
         seals.append(len(proofs))
         return proofs
 

@@ -136,7 +136,7 @@ def test_each_caller_gets_its_own_signatures_under_thread_stress():
         for round_ in range(15):
             messages = [f"{worker}:{round_}:{i}".encode() for i in range(rng.randint(1, 6))]
             leaves = [merkle.sign(m) for m in messages]
-            proofs = merkle.seal_batch()
+            proofs = merkle.seal_batch(leaves)
             if not all(map(merkle.verify_with_proof, messages, leaves, proofs)):
                 wrong.append((worker, round_))
 
