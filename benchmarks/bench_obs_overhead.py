@@ -17,9 +17,10 @@ instrumentation regression that creeps into the disabled path.  Metrics
 are dumped to ``BENCH_obs_overhead.json`` for the trajectory record.
 
 A second **service arm** times HTTP requests against a live in-process
-server and guards the cost the observability *plane* adds per request:
-tracing-header codec work plus the background monitor's idle sweep,
-amortized over its interval.  Skip it with ``--no-service``.
+server, observed as ``repro serve`` observes (metrics and events, no
+spans), and guards the cost the observability *plane* adds per request:
+the server's correlation-id header check plus the background monitor's
+idle sweep, amortized over its interval.  Skip it with ``--no-service``.
 """
 
 from __future__ import annotations

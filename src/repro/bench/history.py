@@ -63,17 +63,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def collect_meta() -> Dict[str, object]:
-    """Attribution block for benchmark outputs (satellite of ISSUE 7).
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], capture_output=True, text=True, timeout=10, check=False,
+    ).stdout.strip()
 
-    Git metadata degrades to ``"unknown"`` outside a repository (e.g. an
-    installed wheel running the gate in a scratch directory).
+
+def collect_meta() -> Dict[str, object]:
+    """Attribution block for benchmark outputs.
+
+    ``git_sha`` is HEAD, suffixed ``-dirty`` when tracked files differ
+    from it (the numbers then come from uncommitted code; a prefix
+    lookup by SHA still finds them).  Git metadata degrades to
+    ``"unknown"`` outside a repository (e.g. an installed wheel running
+    the gate in a scratch directory).
     """
     try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=False,
-        ).stdout.strip() or "unknown"
+        sha = _git("rev-parse", "HEAD") or "unknown"
+        if sha != "unknown" and _git("status", "--porcelain", "--untracked-files=no"):
+            sha += "-dirty"
     except (OSError, subprocess.SubprocessError):
         sha = "unknown"
     return {

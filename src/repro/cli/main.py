@@ -1142,23 +1142,37 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _observe_serving(args) -> None:
+    """Switch on what ``repro serve`` observes: metrics, events and, with
+    ``--profile``, the phase profiler; no spans, since no endpoint serves
+    them.  A request is named by its correlation id instead."""
+    from repro import obs
+    from repro.obs.events import RingBufferSink
+    from repro.service.http import ALERT_KINDS
+
+    obs.enable(reset=True, tracing=False)
+    log = obs.enable_events(
+        ring=0,
+        path=args.events,
+        max_bytes=args.events_max_bytes,
+        keep=args.events_keep,
+    )
+    # /v1/alerts streams from this ring.  It keeps the alert kinds alone:
+    # every request emits http.request, collector.flush and store.batch
+    # events, which go to the --events file only and so cannot evict an
+    # alert under traffic.
+    log.add_sink(RingBufferSink(4096, kinds=ALERT_KINDS))
+    if args.profile:
+        obs.enable_profile(reset=True)
+
+
 def _cmd_serve(args) -> int:
     from repro import obs
     from repro.obs.plane import FileAlertSink, LogAlertSink, WebhookAlertSink
     from repro.service import ServiceConfig
     from repro.service.http import ProvenanceHTTPServer
 
-    obs.enable(reset=True)
-    # Always keep a ring buffer: /v1/alerts streams from it, and losing
-    # the last 4096 events to save a few MB would blind the fleet view.
-    obs.enable_events(
-        ring=4096,
-        path=args.events,
-        max_bytes=args.events_max_bytes,
-        keep=args.events_keep,
-    )
-    if args.profile:
-        obs.enable_profile(reset=True)
+    _observe_serving(args)
     sinks = []
     if args.monitor_interval > 0 and not args.quiet:
         sinks.append(LogAlertSink())

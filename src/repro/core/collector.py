@@ -527,9 +527,8 @@ class ChecksumCollector:
         staged = [item for write in writes for item in write.staged]
         records = self._sign(participant, staged)
         # The flush span nests under whatever is open on this thread
-        # — for a served request, the handler's http.request span,
-        # itself parented on the client's traceparent context — so
-        # the collector leg shows up in the distributed trace tree.
+        # (under tracing, a served request's http.request span); its
+        # event joins the request's correlation scope below.
         with obs.phase("collector.flush", staged=len(records)):
             records = self._seal(participant, records)
             self._observe_flush(records)

@@ -41,13 +41,13 @@ from typing import Callable, Dict, Optional, TypeVar, Union
 from repro.obs import events as events_module  # noqa: F401 (re-exported)
 from repro.obs import export, tracing  # re-exported submodules
 from repro.obs import profile as profile_module  # noqa: F401 (re-exported)
-# NOTE: repro.obs.plane is intentionally NOT imported here — it depends
-# on tracing only and is imported lazily by the service layer, keeping
-# `import repro.obs` light for the hot paths that only check OBS slots.
-from repro.obs.events import EventLog, FileSink, RingBufferSink
+# NOTE: repro.obs.plane is intentionally NOT imported here — only the
+# service layer needs it, and `import repro.obs` stays light for the hot
+# paths that only check OBS slots.
+from repro.obs.events import EventLog, FileSink, RingBufferSink, current_correlation
 from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import PHASES, CostModel, Phase, PhaseProfiler
-from repro.obs.tracing import Span, TraceContext, Tracer, render_trace
+from repro.obs.tracing import Span, Tracer, render_trace
 
 __all__ = [
     "OBS",
@@ -55,7 +55,6 @@ __all__ = [
     "enable",
     "disable",
     "span",
-    "span_remote",
     "snapshot",
     "emit",
     "enable_events",
@@ -154,37 +153,18 @@ def span(name: str, **attrs: object):
     return _NOOP_SPAN
 
 
-def span_remote(name: str, context: Optional[TraceContext], **attrs: object):
-    """A span parented on an explicit remote trace context.
-
-    Joins a caller's trace without touching the tracer's process-global
-    remote context — safe with one span per concurrent thread.  (Served
-    requests get the same parenting from ``phase("http.request",
-    context, ...)``.)  ``context=None`` degrades to a plain local span;
-    tracing off is the shared no-op.
-    """
-    if OBS.tracing:
-        return OBS.tracer.span_remote(name, context, **attrs)
-    return _NOOP_SPAN
-
-
 F = TypeVar("F", bound=Callable[..., object])
 
 
 class _PhaseBlock:
     """One entry into a vocabulary phase; see :func:`phase`."""
 
-    __slots__ = ("_phase", "_remote", "_attrs", "_labels", "_prof", "_span", "_start")
+    __slots__ = ("_phase", "_attrs", "_labels", "_prof", "_span", "_start")
 
     def __init__(
-        self,
-        entry: Phase,
-        remote: Optional[TraceContext],
-        attrs: Dict[str, object],
-        labels: Dict[str, object],
+        self, entry: Phase, attrs: Dict[str, object], labels: Dict[str, object]
     ) -> None:
         self._phase = entry
-        self._remote = remote
         self._attrs = attrs  # the span's
         self._labels = labels  # the histogram's
 
@@ -199,7 +179,7 @@ class _PhaseBlock:
             prof._enter(entry.name, now)
         span = None
         if entry.span and OBS.tracing:
-            span = OBS.tracer.start(entry.name, dict(self._attrs), self._remote, now)
+            span = OBS.tracer.start(entry.name, dict(self._attrs), now)
         self._prof = prof
         self._span = span
         self._start = now
@@ -219,8 +199,9 @@ class _PhaseBlock:
             OBS.tracer.finish(span, now)
         entry = self._phase
         if entry.histogram is not None and exc_type is None and OBS.enabled:
+            exemplar = span.trace_id if span is not None else current_correlation()
             OBS.registry.histogram(entry.histogram, **self._labels).observe(
-                now - start, exemplar=span.trace_id if span is not None else None
+                now - start, exemplar=exemplar
             )
         return False
 
@@ -231,7 +212,7 @@ class _PhaseBlock:
         def timed(*args):
             if not entry.live:
                 return fn(*args)
-            with _PhaseBlock(entry, None, attrs, labels):
+            with _PhaseBlock(entry, attrs, labels):
                 return fn(*args)
 
         return timed  # type: ignore[return-value]
@@ -254,7 +235,7 @@ class _IdleBlock:
         return False
 
     def __call__(self, fn: F) -> F:
-        return _PhaseBlock(self.phase, None, {}, {})(fn)
+        return _PhaseBlock(self.phase, {}, {})(fn)
 
 
 _IDLE = {name: _IdleBlock(entry) for name, entry in PHASES.items()}
@@ -262,16 +243,14 @@ _NOOP_SPAN = _IdleBlock(None)
 _NO_LABELS: Dict[str, object] = {}
 
 
-def phase(
-    name: str, remote: Optional[TraceContext] = None, /, **attrs: object
-) -> Union[_PhaseBlock, _IdleBlock]:
+def phase(name: str, /, **attrs: object) -> Union[_PhaseBlock, _IdleBlock]:
     """Time one region under a vocabulary name, feeding its sinks.
 
     ``name`` must be a key of :data:`~repro.obs.profile.PHASES`, which
     decides what the region feeds: a profiler phase, a tracer span
-    carrying ``attrs`` (parented on ``remote`` when no span is open on
-    this thread), and a timing histogram labelled by the attributes the
-    table names, with the span's trace id as exemplar.  Each sink fires
+    carrying ``attrs``, and a timing histogram labelled by the
+    attributes the table names, with the span's trace id as exemplar
+    (the active correlation id when no span is open).  Each sink fires
     only while its switch is on, from one clock read on entry and one on
     exit; the histogram only when the region does not raise.
 
@@ -285,9 +264,9 @@ def phase(
     entry = idle.phase
     if entry.labels:
         labels = {key: attrs.pop(key) for key in entry.labels}
-        return _PhaseBlock(entry, remote, attrs, labels)
+        return _PhaseBlock(entry, attrs, labels)
     if entry.live:
-        return _PhaseBlock(entry, remote, attrs, _NO_LABELS)
+        return _PhaseBlock(entry, attrs, _NO_LABELS)
     return idle
 
 

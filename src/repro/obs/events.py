@@ -35,7 +35,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import AbstractSet, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -100,13 +100,23 @@ class Event:
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` events in memory."""
+    """Keeps the most recent ``capacity`` events in memory.
 
-    def __init__(self, capacity: int = 1024):
+    With ``kinds`` set it keeps only events of those kinds, so frequent
+    kinds cannot evict rare ones (``repro serve`` keeps its alert ring
+    this way).
+    """
+
+    def __init__(
+        self, capacity: int = 1024, kinds: Optional[AbstractSet[str]] = None
+    ):
         self._events: Deque[Event] = deque(maxlen=max(1, int(capacity)))
+        self._kinds = kinds
         self._lock = threading.Lock()
 
     def write(self, event: Event) -> None:
+        if self._kinds is not None and event.kind not in self._kinds:
+            return
         with self._lock:
             self._events.append(event)
 

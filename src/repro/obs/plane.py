@@ -1,37 +1,23 @@
-"""The cross-boundary observability plane: context headers + alert sinks.
+"""The cross-boundary observability plane: correlation ids + alert sinks.
 
 Everything in :mod:`repro.obs` is in-process: metrics live in one
 registry, spans on one tracer, events in one log.  This module is the
 piece that lets those artifacts *cross the HTTP boundary* of the
 provenance service (:mod:`repro.service`):
 
-- **Trace context headers.**  :func:`encode_traceparent` /
-  :func:`parse_traceparent` carry a :data:`~repro.obs.tracing.TraceContext`
-  in a W3C ``traceparent`` header (``00-<32 hex>-<16 hex>-01``).  The
-  repo's native span ids are ``"<pid hex>-<counter hex>"`` strings, so the
-  codec packs the two halves into fixed-width hex fields and recovers
-  them exactly on the far side — the server's ``http.request`` span is
-  parented on the *client's* span id, and both sides agree on the trace
-  id byte for byte.  Ids whose halves overflow the field widths (never
-  in practice: pids are < 2^64 and the counter would need 2^64 spans)
-  simply don't propagate — the codec returns ``None`` and the server
-  starts a fresh local trace rather than corrupting a shared one.
-- **Correlation id hygiene.**  The server adopts a client-supplied
-  ``X-Correlation-Id`` so one logical operation shares an id across
-  processes, but only after :func:`valid_correlation_id` — a hostile
-  header must not be able to inject newlines or control bytes into the
-  event stream (events are JSONL an operator greps).
+- **Correlation id hygiene.**  One id names a served request on both
+  sides of the wire: the ``X-Correlation-Id`` reply header, the ``corr``
+  of every event the request causes, and the exemplar of every histogram
+  it feeds.  The server adopts a client-supplied id, but only after
+  :func:`valid_correlation_id` — a hostile header must not be able to
+  inject newlines or control bytes into the event stream (events are
+  JSONL an operator greps).
 - **Alert sinks.**  The background service monitor
   (:mod:`repro.service.background`) publishes health transitions and
   monitor alerts to pluggable :class:`AlertSink`\\ s: a stderr log line,
   an append-only JSONL file, or a webhook POST (stdlib ``urllib``, errors
   swallowed and counted — an unreachable webhook must never take down
   the monitor loop).
-- **Trace stitching.**  :func:`stitch_traces` re-parents remote-rooted
-  spans (a server's ``http.request`` finished with ``remote_root=True``)
-  under the client span they name, so an in-process test — or an ops
-  pipeline that collected span dumps from both sides — can prove the
-  client and server halves form *one* tree.
 """
 
 from __future__ import annotations
@@ -39,119 +25,25 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Dict, List, Optional, Sequence
-
-from repro.obs.tracing import Span, TraceContext
+from typing import Dict, Optional
 
 __all__ = [
-    "TRACEPARENT_HEADER",
-    "CORRELATION_HEADER",
-    "encode_traceparent",
-    "parse_traceparent",
     "valid_correlation_id",
-    "stitch_traces",
     "AlertSink",
     "LogAlertSink",
     "FileAlertSink",
     "WebhookAlertSink",
 ]
 
-#: Header names (the canonical lower-case W3C form; HTTP headers are
-#: case-insensitive so lookups work either way).
-TRACEPARENT_HEADER = "traceparent"
-CORRELATION_HEADER = "X-Correlation-Id"
-
-#: Native span/trace ids: "<pid hex>-<counter hex>" (repro.obs.tracing).
-_NATIVE_ID_RE = re.compile(r"^([0-9a-f]+)-([0-9a-f]+)$")
-#: version "00", 32-hex trace id, 16-hex parent span id, 2-hex flags.
-_TRACEPARENT_RE = re.compile(
-    r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
-)
 #: Correlation ids the server will adopt from a client header.  One
 #: conservative token — anything else (spaces, quotes, control bytes,
 #: overlong values) is ignored and the server mints its own id.
 _CORRELATION_RE = re.compile(r"^[A-Za-z0-9._:-]{1,64}$")
 
 
-def _encode_id(native: str, digits: int) -> Optional[str]:
-    """Pack a native ``"pid-counter"`` id into ``digits`` hex chars."""
-    match = _NATIVE_ID_RE.match(native)
-    if match is None:
-        return None
-    half = digits // 2
-    pid, counter = int(match.group(1), 16), int(match.group(2), 16)
-    if pid >= 16 ** half or counter >= 16 ** half:
-        return None
-    return f"{pid:0{half}x}{counter:0{half}x}"
-
-
-def _decode_id(packed: str) -> str:
-    """Recover the native ``"pid-counter"`` id from its packed hex form."""
-    half = len(packed) // 2
-    return f"{int(packed[:half], 16):x}-{int(packed[half:], 16):x}"
-
-
-def encode_traceparent(context: Optional[TraceContext]) -> Optional[str]:
-    """The ``traceparent`` header value for a trace context, or None.
-
-    None in, None out; None out also when either id cannot be packed
-    losslessly (then the caller sends no header and the far side starts
-    its own trace — degraded, never wrong).
-    """
-    if context is None:
-        return None
-    trace_id, span_id = context
-    packed_trace = _encode_id(trace_id, 32)
-    packed_span = _encode_id(span_id, 16)
-    if packed_trace is None or packed_span is None:
-        return None
-    return f"00-{packed_trace}-{packed_span}-01"
-
-
-def parse_traceparent(value: Optional[str]) -> Optional[TraceContext]:
-    """The trace context a ``traceparent`` header names, or None.
-
-    Tolerant: a malformed, foreign-format, or all-zero header (both ids
-    zero is invalid per W3C) yields None, never an exception — a hostile
-    client must not be able to break request handling with a header.
-    """
-    if not value:
-        return None
-    match = _TRACEPARENT_RE.match(value.strip().lower())
-    if match is None:
-        return None
-    packed_trace, packed_span = match.group(1), match.group(2)
-    if int(packed_trace, 16) == 0 or int(packed_span, 16) == 0:
-        return None
-    return (_decode_id(packed_trace), _decode_id(packed_span))
-
-
 def valid_correlation_id(value: Optional[str]) -> bool:
     """Whether a client-supplied correlation id is safe to adopt."""
     return bool(value) and _CORRELATION_RE.match(value) is not None
-
-
-def stitch_traces(roots: Sequence[Span]) -> List[Span]:
-    """Join remote-rooted spans onto the parents they name.
-
-    Takes finished root spans (typically ``tracer.traces``), attaches
-    every span whose recorded ``parent_id`` exists inside another tree
-    as that span's child, and returns the remaining roots.  Mutates the
-    spans' ``children`` lists; call on a drained/copied list when the
-    tracer will keep running.
-    """
-    by_id: Dict[str, Span] = {}
-    for root in roots:
-        for span in root.iter_spans():
-            by_id[span.span_id] = span
-    stitched: List[Span] = []
-    for root in roots:
-        parent = by_id.get(root.parent_id) if root.parent_id else None
-        if parent is not None and parent is not root:
-            parent.children.append(root)
-        else:
-            stitched.append(root)
-    return stitched
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ class Phase:
     cost components, DESIGN.md §11).  ``span``: a tracer span carrying
     the site's attributes.  ``histogram``: a timing histogram (seconds)
     fed when metrics are on, with the span's trace id as exemplar when
-    the phase also opened a span.  ``labels``: the attributes that label
+    the phase also opened a span, else the active correlation id.
+    ``labels``: the attributes that label
     that histogram; they are not copied onto the span.
 
     ``live`` is derived, not configured: :data:`repro.obs.OBS` recomputes

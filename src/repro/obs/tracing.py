@@ -64,10 +64,10 @@ class Span:
         self.end: Optional[float] = None
         self.children: List["Span"] = []
         self.worker_pid: Optional[int] = None
-        #: True when this span's parent lives in another process/thread
-        #: (a pool worker's top span, or a served request parented on a
-        #: client's traceparent header): logged as a root despite having
-        #: a parent_id, and re-attachable via ``plane.stitch_traces``.
+        #: True for a pool worker's top span, whose parent lives in the
+        #: parent process: logged as a root despite having a parent_id,
+        #: so :meth:`Tracer.drain` ships it and the parent's
+        #: :meth:`Tracer.adopt` re-parents it.
         self.remote_root = False
 
     @property
@@ -121,23 +121,16 @@ class Span:
 class _SpanHandle:
     """Context manager returned by :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_remote", "span")
+    __slots__ = ("_tracer", "_name", "_attrs", "span")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        attrs: Dict[str, object],
-        remote: Optional[TraceContext] = None,
-    ):
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]):
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
-        self._remote = remote
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self.span = self._tracer.start(self._name, self._attrs, remote=self._remote)
+        self.span = self._tracer.start(self._name, self._attrs)
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -179,26 +172,8 @@ class Tracer:
         """``with tracer.span("verify.chain", object_id=...) as s:``"""
         return _SpanHandle(self, name, attrs)
 
-    def span_remote(
-        self, name: str, context: Optional[TraceContext], **attrs: object
-    ) -> _SpanHandle:
-        """A span parented on an explicit remote context (per call).
-
-        Unlike :meth:`install_remote_context` — process-global, meant for
-        pool workers whose whole lifetime serves one parent — the remote
-        parent here is carried on the handle, so concurrent server
-        threads can each open a span for a *different* client trace
-        without sharing state.  ``context=None`` degrades to a plain
-        local span.
-        """
-        return _SpanHandle(self, name, attrs, remote=context)
-
     def start(
-        self,
-        name: str,
-        attrs: Dict[str, object],
-        remote: Optional[TraceContext] = None,
-        now: Optional[float] = None,
+        self, name: str, attrs: Dict[str, object], now: Optional[float] = None
     ) -> Span:
         """Open a span under this thread's innermost one.
 
@@ -210,10 +185,6 @@ class Tracer:
             parent = stack[-1]
             span = Span(name, attrs, parent.trace_id, parent.span_id, start=now)
             parent.children.append(span)
-        elif remote is not None:
-            trace_id, parent_id = remote
-            span = Span(name, attrs, trace_id, parent_id, start=now)
-            span.remote_root = True
         elif self._remote_context is not None:
             trace_id, parent_id = self._remote_context
             span = Span(name, attrs, trace_id, parent_id, start=now)
@@ -231,7 +202,7 @@ class Tracer:
         if stack and stack[-1] is span:
             stack.pop()
         if span.parent_id is None or span.remote_root:
-            # A root (locally, or relative to a remote parent): log it.
+            # A root (locally, or under a worker's remote parent): log it.
             if not stack:
                 with self._lock:
                     self.traces.append(span)

@@ -19,16 +19,14 @@ was sent, a lost reply is raised, never resent, so a write is never
 applied twice.  :meth:`ServiceClient.close` (or a ``with`` block) closes
 the idle connections.
 
-Observability crosses the wire in both directions.  When this process
-has tracing on and a span open, every request carries a ``traceparent``
-header (so the server's ``http.request`` span joins the caller's trace)
-and the active correlation id as ``X-Correlation-Id`` (so client- and
-server-side events share one id).  With observability off neither header
-is computed or sent — request bytes are unchanged, which the
-byte-identity equivalence suite depends on.  Failures keep the join
-handle too: a :class:`ServiceHTTPError` carries the server-echoed
-``correlation_id`` so the failing request can be grepped out of the
-server's event log.
+One id crosses the wire in both directions.  While this process has an
+event log attached, every request made inside a correlation scope
+carries its id as ``X-Correlation-Id``, so client- and server-side
+events share one id.  With events off no header is computed or sent —
+request bytes are unchanged, which the byte-identity equivalence suite
+depends on.  The server echoes the id it used on every reply, and a
+:class:`ServiceHTTPError` carries it as ``correlation_id``, so a failing
+request can be grepped out of the server's event log.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from urllib.parse import urlsplit
 from repro import obs
 from repro.exceptions import ServiceError
 from repro.obs import OBS
+from repro.obs.events import current_correlation
 
 __all__ = ["ServiceHTTPError", "ServiceResponse", "ServiceClient"]
 
@@ -159,10 +158,9 @@ class ServiceClient:
     ) -> ServiceResponse:
         """One request with the 503 retry loop; returns the raw exchange.
 
-        The ``client.request`` span is the client-side half of the
-        distributed trace: :meth:`_once` sees it as the innermost open
-        span and encodes its context into the ``traceparent`` header, so
-        the server's ``http.request`` span becomes its (remote) child.
+        With tracing on, the exchange is one ``client.request`` span of
+        this process, retries included; the server joins it by the
+        correlation id :meth:`_once` sends, not by span.
         """
         with obs.phase("client.request", method=method, path=path) as span:
             attempts = 0
@@ -194,18 +192,11 @@ class ServiceClient:
         headers = {"Accept": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        if OBS.tracing or OBS.events is not None:
-            # Propagate the trace context / correlation id only when this
-            # process is actually observing: with obs off (the default)
-            # no header is computed, keeping the disabled-mode cost at
-            # two slot reads and the request bytes identical.
-            from repro.obs.events import current_correlation
-            from repro.obs.plane import encode_traceparent
-
-            if OBS.tracing:
-                traceparent = encode_traceparent(OBS.tracer.context())
-                if traceparent is not None:
-                    headers["traceparent"] = traceparent
+        if OBS.events is not None:
+            # Propagate the correlation id only while this process logs
+            # events: with them off (the default) no header is computed,
+            # keeping the disabled-mode cost at one slot read and the
+            # request bytes identical.
             corr = current_correlation()
             if corr is not None:
                 headers["X-Correlation-Id"] = corr

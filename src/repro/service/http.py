@@ -69,15 +69,15 @@ Status mapping (the chaos suite pins this down):
   the handler always sends *some* response rather than dropping the
   connection
 
-Every request runs inside an event-log correlation scope, so the HTTP
-request, the collector flush it triggers, and the store batch commit
-share one correlation id (echoed as ``X-Correlation-Id``).  A client
-that sends a valid ``X-Correlation-Id`` of its own has that id *adopted*
+One id names a request.  Every request runs inside an event-log
+correlation scope, so the HTTP request, the collector flush it triggers,
+and the store batch commit share one correlation id; it is echoed as
+``X-Correlation-Id`` and is the exemplar of the ``service.http.seconds``
+observation (and of every histogram the request feeds) when no span is
+open, as under ``repro serve``, which builds no spans.  A client that
+sends a valid ``X-Correlation-Id`` of its own has that id *adopted*
 (after :func:`repro.obs.plane.valid_correlation_id` hygiene), so client-
-and server-side events join on one id; a ``traceparent`` header likewise
-parents the server's ``http.request`` span — and the collector/store
-spans beneath it — onto the client's open span, forming one distributed
-trace tree.
+and server-side events join on one id.
 """
 
 from __future__ import annotations
@@ -102,9 +102,17 @@ from repro.exceptions import (
     UnknownObjectError,
 )
 from repro.obs import OBS
+from repro.obs.events import current_correlation
+from repro.obs.plane import valid_correlation_id
 from repro.service.core import ProvenanceService, ServiceConfig, canonical_json
 
-__all__ = ["ProvenanceHTTPServer", "DEFAULT_RETRY_AFTER"]
+__all__ = ["ProvenanceHTTPServer", "DEFAULT_RETRY_AFTER", "ALERT_KINDS"]
+
+#: Event kinds surfaced by /v1/alerts: raw monitor alerts plus the
+#: background monitor's tenant-attributed alert/health transitions.
+#: ``repro serve``'s event ring keeps only these, so request traffic
+#: cannot evict them.
+ALERT_KINDS = frozenset({"alert", "service.alert", "service.health"})
 
 #: ``Retry-After`` seconds sent with 503s.  Fractional (the bundled
 #: client parses floats) so chaos tests stay fast; real deployments
@@ -174,17 +182,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         route = split.path.rstrip("/") or "/"
         query = parse_qs(split.query)
         log = OBS.events
-        remote = None
-        if OBS.tracing:
-            from repro.obs.plane import parse_traceparent
-
-            # Per-request remote parent (never the tracer's process-global
-            # remote context — concurrent handler threads each carry their
-            # own client's context on their phase).
-            remote = parse_traceparent(self.headers.get("traceparent"))
         if log is not None:
-            from repro.obs.plane import valid_correlation_id
-
             # Adopt the client's correlation id when it sent a sane one,
             # so client- and server-side events join on one id; anything
             # unvalidated (log injection, overlong values) is replaced by
@@ -197,10 +195,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
             scope = nullcontext()
         began = perf_counter()
         endpoint = f"{method} {route.split('/v1/', 1)[-1].split('/')[0] or route}"
-        with obs.phase(
-            "http.request", remote, endpoint=endpoint, method=method, path=route
-        ) as request_span, scope:
-            corr = _current_correlation()
+        # The scope encloses the phase, so the phase closes while the
+        # request's correlation id is still active: that id becomes the
+        # exemplar of its service.http.seconds observation.
+        with scope, obs.phase(
+            "http.request", endpoint=endpoint, method=method, path=route
+        ) as request_span:
+            corr = current_correlation()
             try:
                 # Read the whole body before anything can answer: a reply
                 # sent with the body unread would leave it on the
@@ -321,9 +322,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return 200, service.lineage(tenant, object_id), {}
         raise ServiceError(f"no route for {method} {route}")
 
-    #: Event kinds surfaced by /v1/alerts: raw monitor alerts plus the
-    #: background monitor's tenant-attributed alert/health transitions.
-    ALERT_KINDS = frozenset({"alert", "service.alert", "service.health"})
     #: Longest long-poll the server will hold an /v1/alerts request.
     MAX_ALERT_WAIT = 30.0
 
@@ -383,7 +381,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             matched = [
                 e.to_dict()
                 for e in events
-                if e.seq > since and e.kind in self.ALERT_KINDS
+                if e.seq > since and e.kind in ALERT_KINDS
             ]
             cursor = max([since] + [e.seq for e in events])
             if matched or perf_counter() >= deadline:
@@ -503,12 +501,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
 def _strip(exc: BaseException) -> str:
     # UnknownObjectError subclasses KeyError, whose str() adds quotes.
     return str(exc).strip("'\"")
-
-
-def _current_correlation() -> Optional[str]:
-    from repro.obs.events import current_correlation
-
-    return current_correlation()
 
 
 class ProvenanceHTTPServer(ThreadingHTTPServer):

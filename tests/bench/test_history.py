@@ -28,6 +28,37 @@ class TestMeta:
         assert meta["cpu_count"] >= 1
         assert meta["timestamp_utc"].endswith("Z")
 
+    def test_git_sha_marks_uncommitted_tracked_changes(self, tmp_path, monkeypatch):
+        import subprocess
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("v1\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "one")
+        head = git("rev-parse", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "untracked.txt").write_text("scratch\n")
+        assert bh.collect_meta()["git_sha"] == head
+        (tmp_path / "tracked.txt").write_text("v2\n")
+        dirty = bh.collect_meta()["git_sha"]
+        assert dirty == head + "-dirty"
+        # `repro bench compare` still finds the entry by a SHA prefix.
+        history = str(tmp_path / "hist.jsonl")
+        bh.append_entry(history, entry_with({"m": 1.0}, sha="0" * 40))
+        bh.append_entry(history, entry_with({"m": 2.0}, sha=dirty))
+        assert bh.find_by_sha(bh.read_history(history), head[:7])["metrics"] == {
+            "m": 2.0
+        }
+        assert cli_main(
+            ["bench", "--history", history, "compare", "0000000", head[:7]]
+        ) == 0
+
     def test_with_meta_preserves_metrics(self):
         payload = bh.with_meta({"guard": {"ok": True}})
         assert payload["guard"] == {"ok": True}

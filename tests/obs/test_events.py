@@ -47,6 +47,15 @@ class TestEventLog:
         assert len(kept) == 3
         assert [e.fields["i"] for e in kept] == [7, 8, 9]
 
+    def test_ring_buffer_keeps_only_its_kinds(self):
+        log = EventLog(sinks=(RingBufferSink(capacity=2, kinds={"alert"}),))
+        log.emit("alert", i=0)
+        for i in range(5):
+            log.emit("http.request", i=i)
+        log.emit("alert", i=1)
+        kept = log.ring.events()
+        assert [(e.kind, e.seq) for e in kept] == [("alert", 0), ("alert", 6)]
+
     def test_of_kind_filters(self):
         log = EventLog(sinks=(RingBufferSink(),))
         log.emit("a")

@@ -1,4 +1,4 @@
-"""Cross-boundary plane: traceparent codec, stitching, alert sinks."""
+"""Cross-boundary plane: correlation-id hygiene, alert sinks."""
 
 from __future__ import annotations
 
@@ -11,58 +11,8 @@ from repro.obs.plane import (
     FileAlertSink,
     LogAlertSink,
     WebhookAlertSink,
-    encode_traceparent,
-    parse_traceparent,
-    stitch_traces,
     valid_correlation_id,
 )
-from repro.obs.tracing import Tracer
-
-
-class TestTraceparentCodec:
-    def test_roundtrip_recovers_native_ids(self):
-        context = ("5db5-1", "5db5-2a")
-        header = encode_traceparent(context)
-        assert header is not None
-        assert parse_traceparent(header) == context
-
-    def test_header_is_w3c_shaped(self):
-        header = encode_traceparent(("1f-2", "3-4"))
-        version, trace, span, flags = header.split("-")
-        assert version == "00"
-        assert len(trace) == 32
-        assert len(span) == 16
-        assert flags == "01"
-
-    def test_none_context_encodes_to_none(self):
-        assert encode_traceparent(None) is None
-
-    def test_overflowing_ids_refuse_to_encode(self):
-        # A counter too wide for the 8-hex span field must not be
-        # silently truncated into a *different* id on the far side.
-        assert encode_traceparent(("1-1", "1-" + "f" * 9)) is None
-
-    def test_non_native_ids_refuse_to_encode(self):
-        assert encode_traceparent(("no dashes here", "1-2")) is None
-        assert encode_traceparent(("1-2-3", "1-2")) is None
-
-    @pytest.mark.parametrize("value", [
-        None,
-        "",
-        "garbage",
-        "00-zz-11-01",
-        "00-" + "0" * 32 + "-" + "1" * 16 + "-01",  # all-zero trace id
-        "00-" + "1" * 32 + "-" + "0" * 16 + "-01",  # all-zero span id
-        "ff-" + "1" * 32 + "-" + "2" * 16 + "-01",  # unknown version
-        "00-" + "1" * 31 + "-" + "2" * 16 + "-01",  # short trace id
-        "00-1-2-01\nX-Injected: 1",                 # header injection
-    ])
-    def test_hostile_headers_parse_to_none(self, value):
-        assert parse_traceparent(value) is None
-
-    def test_parse_tolerates_case_and_whitespace(self):
-        header = encode_traceparent(("ab-1", "cd-2"))
-        assert parse_traceparent("  " + header.upper() + "  ") == ("ab-1", "cd-2")
 
 
 class TestCorrelationValidation:
@@ -75,33 +25,6 @@ class TestCorrelationValidation:
     ])
     def test_rejects_hostile_values(self, value):
         assert not valid_correlation_id(value)
-
-
-class TestStitchTraces:
-    def test_remote_root_reparents_under_named_parent(self):
-        client = Tracer()
-        with client.span("client.request") as client_span:
-            context = client.context()
-        server = Tracer()
-        with server.span_remote("http.request", context):
-            with server.span("store.batch"):
-                pass
-        roots = stitch_traces(list(client.traces) + list(server.traces))
-        assert [r.name for r in roots] == ["client.request"]
-        names = [s.name for s in roots[0].iter_spans()]
-        assert names == ["client.request", "http.request", "store.batch"]
-        assert {s.trace_id for s in roots[0].iter_spans()} == {
-            client_span.trace_id
-        }
-
-    def test_unrelated_roots_stay_separate(self):
-        a, b = Tracer(), Tracer()
-        with a.span("one"):
-            pass
-        with b.span("two"):
-            pass
-        roots = stitch_traces(list(a.traces) + list(b.traces))
-        assert sorted(r.name for r in roots) == ["one", "two"]
 
 
 class TestLogAlertSink:

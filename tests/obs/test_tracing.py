@@ -141,74 +141,6 @@ class TestRemoteContext:
         assert tracer.last_trace().name == "w"
 
 
-class TestSpanRemote:
-    def test_span_remote_adopts_caller_context(self, tracer):
-        client = Tracer()
-        with client.span("client.request") as client_span:
-            context = client.context()
-        with tracer.span_remote("http.request", context) as server_span:
-            pass
-        assert server_span.trace_id == client_span.trace_id
-        assert server_span.parent_id == client_span.span_id
-        assert server_span.remote_root is True
-        # A remote-rooted span is a loggable trace root on this side.
-        assert tracer.last_trace() is server_span
-
-    def test_span_remote_without_context_is_plain_root(self, tracer):
-        with tracer.span_remote("http.request", None) as span:
-            pass
-        assert span.parent_id is None
-        assert span.remote_root is False
-
-    def test_children_nest_under_remote_root(self, tracer):
-        with tracer.span_remote("http.request", ("t-1", "s-1")) as root:
-            with tracer.span("store.batch"):
-                pass
-        assert [c.name for c in root.children] == ["store.batch"]
-        assert root.children[0].trace_id == "t-1"
-
-    def test_concurrent_remote_spans_keep_their_own_parents(self, tracer):
-        # Two server threads handling requests from different clients
-        # must not cross-parent (the process-global remote context would).
-        import threading
-
-        def handle(context, results):
-            with tracer.span_remote("http.request", context) as span:
-                pass
-            results.append(span)
-
-        results = []
-        threads = [
-            threading.Thread(target=handle, args=((f"t-{i}", f"s-{i}"), results))
-            for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert {(s.trace_id, s.parent_id) for s in results} == {
-            (f"t-{i}", f"s-{i}") for i in range(4)
-        }
-
-    def test_remote_root_not_serialized(self, tracer):
-        # remote_root is process-local bookkeeping; dumps stay stable.
-        with tracer.span_remote("r", ("t-1", "s-1")) as span:
-            pass
-        data = span.to_dict()
-        assert "remote_root" not in data
-        assert Span.from_dict(data).remote_root is False
-
-    def test_module_helper_noop_when_disabled(self, obs_disabled):
-        with obs.span_remote("x", ("t-1", "s-1")):
-            pass
-        assert obs.OBS.tracer.traces == []
-
-    def test_module_helper_records_when_enabled(self, obs_enabled):
-        with obs.span_remote("x", ("t-1", "s-1")) as span:
-            pass
-        assert span.trace_id == "t-1"
-
-
 class TestRender:
     def test_render_tree_shape(self, tracer):
         with tracer.span("verify", records=3):

@@ -1,10 +1,10 @@
 """The service observability plane, proven against a live server.
 
 The server in these tests runs in-process (background threads), so it
-shares the test's :data:`repro.obs.OBS` switchboard: the client half and
-the server half of a distributed trace land on the *same* tracer, which
-is exactly what lets the end-to-end identity tests prove — not just
-eyeball — that both sides form one tree and share one correlation id.
+shares the test's :data:`repro.obs.OBS` switchboard: the client's and
+the server's events land in the *same* log, which is what lets the
+end-to-end identity tests prove — not just eyeball — that both sides
+share one correlation id.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.plane import stitch_traces
+from repro.obs.events import read_events
 from repro.service.client import ServiceClient, ServiceHTTPError
+from repro.service.http import ALERT_KINDS
 
 HOSTILE_TENANT = 'evil"quote\\back\nnewline'
 
@@ -32,6 +33,32 @@ def obs_full():
 
 
 @pytest.fixture
+def serve_obs(tmp_path):
+    """What ``repro serve --events PATH`` observes: metrics, events into
+    PATH and the alert ring, no spans.  Yields PATH; everything off
+    afterwards."""
+    from repro.cli.main import _observe_serving, build_parser
+
+    path = tmp_path / "events.jsonl"
+    _observe_serving(build_parser().parse_args(["serve", "--events", str(path)]))
+    yield path
+    obs.disable_events()
+    obs.disable(reset=True)
+
+
+def _forge_tail_checksum(server, tenant: str, object_id: str) -> None:
+    """In-place checksum forgery on the tail record (the R1 recipe)."""
+    import dataclasses
+
+    world = server.service.world(tenant)
+    with world.lock:
+        record = world.store.records_for(object_id)[-1]
+        forged = dataclasses.replace(record, checksum=b"\x00" * 16)
+        shard = world.store._shard_for(object_id)
+        shard._chains[object_id][-1] = forged
+
+
+@pytest.fixture
 def obs_metrics_only():
     obs.enable(reset=True)
     obs.OBS.tracing = False
@@ -40,25 +67,6 @@ def obs_metrics_only():
 
 
 class TestEndToEndTrace:
-    def test_client_and_server_spans_form_one_tree(self, obs_full, tenant_client):
-        client = tenant_client("t1")
-        obs.OBS.tracer.reset()  # drop the key-issuance request's trace
-        with obs_full.correlation("op-e2e"):
-            client.insert("A", 1)
-        roots = stitch_traces(list(obs.OBS.tracer.traces))
-        # One tree: the client's span is the only root, the server's
-        # http.request hangs beneath it, and the flush/batch spans the
-        # request caused hang beneath *that*.
-        insert_roots = [r for r in roots if r.name == "client.request"]
-        assert len(insert_roots) == 1
-        names = [s.name for s in insert_roots[0].iter_spans()]
-        assert names[:2] == ["client.request", "http.request"]
-        assert "collector.flush" in names
-        assert "store.batch" in names
-        # Trace identity: every span of the tree carries the client's id.
-        trace_ids = {s.trace_id for s in insert_roots[0].iter_spans()}
-        assert trace_ids == {insert_roots[0].trace_id}
-
     def test_one_correlation_id_spans_the_wire(self, obs_full, tenant_client):
         client = tenant_client("t1")
         with obs_full.correlation("op-corr-1"):
@@ -305,24 +313,12 @@ class TestTamperVisibility:
     """The acceptance path: a tampered tenant is visible at /v1/metrics
     and /v1/alerts of the live server."""
 
-    @staticmethod
-    def _forge_tail_checksum(server, tenant: str, object_id: str) -> None:
-        """In-place checksum forgery on the tail record (the R1 recipe)."""
-        import dataclasses
-
-        world = server.service.world(tenant)
-        with world.lock:
-            record = world.store.records_for(object_id)[-1]
-            forged = dataclasses.replace(record, checksum=b"\x00" * 16)
-            shard = world.store._shard_for(object_id)
-            shard._chains[object_id][-1] = forged
-
     def test_tampered_tenant_shows_r1_in_metrics_and_alert_stream(
         self, obs_full, admin, tenant_client, server
     ):
         client = tenant_client("t1")
         client.insert("A", 1)
-        self._forge_tail_checksum(server, "t1", "A")
+        _forge_tail_checksum(server, "t1", "A")
         report = client.verify("A")
         assert report["ok"] is False
         assert report["failure_tally"].get("R1", 0) >= 1
@@ -343,3 +339,44 @@ class TestTamperVisibility:
         ]
         assert tamper_alerts
         assert tamper_alerts[-1]["fields"]["rule"] == "tamper"
+
+
+class TestServedRequestId:
+    """``repro serve`` names a request by one id and keeps its alerts."""
+
+    def test_one_id_in_reply_event_and_exemplar(self, serve_obs, tenant_client):
+        response = tenant_client("t1").request(
+            "POST", "/v1/record", {"op": "insert", "object_id": "A", "value": 1}
+        )
+        corr = response.headers["X-Correlation-Id"]
+        requests = [
+            e for e in read_events(str(serve_obs))
+            if e["kind"] == "http.request" and e["fields"]["path"] == "/v1/record"
+        ]
+        assert [(e["corr"], e["trace_id"]) for e in requests] == [(corr, None)]
+        histogram = obs.snapshot()["histograms"][
+            "service.http.seconds{endpoint=POST record}"
+        ]
+        assert histogram["exemplar"]["trace_id"] == corr
+        assert obs.OBS.tracer.traces == []
+        # The per-request events went to the file alone, not the ring.
+        assert {e.kind for e in obs.OBS.events.ring.events()} <= ALERT_KINDS
+
+    def test_alerts_survive_request_traffic(
+        self, serve_obs, server, admin, tenant_client
+    ):
+        tenant_client("victim").insert("A", 1)
+        _forge_tail_checksum(server, "victim", "A")
+        assert admin.healthz().status == 503
+        alerts = admin.alerts(since=-1)["events"]
+        assert any(
+            e["kind"] == "alert" and e["fields"].get("tampering") for e in alerts
+        )
+        # 1,500 updates emit 4,500 per-request events, more than the
+        # 4,096 the ring holds.
+        busy = tenant_client("busy")
+        busy.insert("B", 0)
+        for i in range(1500):
+            busy.update("B", i)
+        assert admin.alerts(since=-1)["events"] == alerts
+        assert admin.healthz().status == 503
