@@ -1683,7 +1683,7 @@ def run_service_bench(
     """
     from repro.attacks.tampering import forge_stored_checksum
     from repro.service import ServiceClient
-    from repro.service.core import AUDIT_OBJECT, ServiceConfig
+    from repro.service.core import ServiceConfig
     from repro.service.http import ProvenanceHTTPServer
     from repro.service.load import LoadSpec, run_load
 
@@ -1709,17 +1709,20 @@ def run_service_bench(
         }
         report, _outcomes = run_load(server.base_url, tokens, spec)
 
-        # Cross-tenant audit: every record in every store must belong to
-        # the store's own tenant (owner = client mod tenants).
+        # Cross-tenant audit: every record in every store must be signed
+        # by the store's own tenant and be of an object of one of its
+        # clients (owner = client mod tenants).
         leaks = 0
         for tenant_id in server.service.tenant_ids():
+            owned = {
+                spec.object_of(c) for c in range(clients)
+                if spec.tenant_of(c) == tenant_id
+            }
             world = server.service.world(tenant_id)
             for record in world.store.all_records():
-                if record.participant_id != f"svc:{tenant_id}":
-                    leaks += 1
-                elif record.object_id != AUDIT_OBJECT and (
-                    spec.tenant_of(int(record.object_id[1:].split(":", 1)[0]))
-                    != tenant_id
+                if (
+                    record.participant_id != f"svc:{tenant_id}"
+                    or record.object_id not in owned
                 ):
                     leaks += 1
 

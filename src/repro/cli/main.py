@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--note", default="")
 
     cp = client_sub.add_parser(
-        "verify", help="verify an object (appends a VERIFY audit record)"
+        "verify", help="verify an object (a read: the server stores nothing)"
     )
     cp.add_argument("object_id")
 

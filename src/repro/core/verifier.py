@@ -39,6 +39,11 @@ from repro.provenance.store import Checkpoint
 #: record, or the checkpoint summarising every record before the walk.
 _Previous = Optional[Union[ProvenanceRecord, Checkpoint]]
 
+#: Roots a verifier's memo keeps between walks.  A walk that starts with
+#: the memo this full drops it first, so the memo holds at most this many
+#: roots plus those of one walk.
+ROOT_MEMO_LIMIT = 4096
+
 __all__ = [
     "VerificationFailure",
     "VerificationReport",
@@ -196,12 +201,20 @@ class Verifier:
 
     def __init__(self, keystore: KeyStore):
         self.keystore = keystore
-        # Memoized Merkle-batch root verifications, keyed by
-        # (participant, epoch, count, root, signature): one RSA check per
-        # sealed batch instead of one per record.  Deterministic, so it
-        # cannot change any report — parallel workers simply each hold
-        # their own cache.
+        # Memoized Merkle-batch root verifications, keyed by the key's
+        # verifier and (participant, epoch, count, root, signature): one
+        # RSA check per sealed batch instead of one per record, and, for
+        # a long-lived verifier, per batch over all its walks.  A verdict
+        # is a pure function of its key, so the memo cannot change any
+        # report.  Concurrent walks may share it without a lock: a dict
+        # get, set or clear is atomic under the GIL, so a race can only
+        # check a root twice.  Parallel workers each hold their own.
         self._root_cache: Dict[tuple, bool] = {}
+
+    def _bound_memo(self) -> None:
+        """Drop the root memo if it is full (see :data:`ROOT_MEMO_LIMIT`)."""
+        if len(self._root_cache) >= ROOT_MEMO_LIMIT:
+            self._root_cache.clear()
 
     # ------------------------------------------------------------------
 
@@ -235,6 +248,7 @@ class Verifier:
             target = target_id
         else:
             target = resume.object_id if resume is not None else snapshot.root_id
+        self._bound_memo()
         with obs.phase("verify", target=target, records=len(records)):
             failures = _Failures()
             if resume is not None:
@@ -279,6 +293,7 @@ class Verifier:
         self, records: Sequence[ProvenanceRecord]
     ) -> VerificationReport:
         """Verify checksum chains only (no data object at hand)."""
+        self._bound_memo()
         with obs.phase("verify", records=len(records)):
             failures = _Failures()
             chains = self._index(records, failures)
@@ -322,6 +337,7 @@ class Verifier:
         the *same* logical verification pass, and observing it twice
         would double-count failures.
         """
+        self._bound_memo()
         with obs.phase("verify", records=len(records), incremental=True):
             failures = _Failures()
             chains = self._index(records, failures)

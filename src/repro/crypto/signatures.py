@@ -355,8 +355,10 @@ def _batch_proof_valid(
         )
     except (ProvenanceError, CryptoError):
         return False
+    # The key's verifier is part of the memo key: a root, signature or
+    # key other than the one a verdict was reached under can only miss.
     cache_key = (
-        participant_id, proof.epoch, proof.count, root, proof.root_signature,
+        key, participant_id, proof.epoch, proof.count, root, proof.root_signature,
     )
     if root_cache is not None:
         cached = root_cache.get(cache_key)
@@ -380,7 +382,7 @@ def record_signature_valid(
     algorithm.
 
     ``root_cache`` (any mutable mapping) memoizes the RSA root check per
-    ``(participant, epoch, count, root, signature)`` — one modular
+    ``(key, participant, epoch, count, root, signature)`` — one modular
     exponentiation per batch instead of per record.
     """
     return detached_signature_valid(

@@ -54,7 +54,6 @@ __all__ = [
     "phase",
     "enable",
     "disable",
-    "span",
     "snapshot",
     "emit",
     "enable_events",
@@ -146,13 +145,6 @@ def disable(reset: bool = False) -> None:
         OBS.tracer.reset()
 
 
-def span(name: str, **attrs: object):
-    """A tracing span when tracing is on, a shared no-op otherwise."""
-    if OBS.tracing:
-        return OBS.tracer.span(name, **attrs)
-    return _NOOP_SPAN
-
-
 F = TypeVar("F", bound=Callable[..., object])
 
 
@@ -219,13 +211,12 @@ class _PhaseBlock:
 
 
 class _IdleBlock:
-    """A shared, stateless no-op: what :func:`span` returns with tracing
-    off, and what :func:`phase` hands out while none of a phase's sinks
-    is on."""
+    """A shared, stateless no-op: what :func:`phase` hands out while none
+    of a phase's sinks is on."""
 
     __slots__ = ("phase",)
 
-    def __init__(self, entry: Optional[Phase]) -> None:
+    def __init__(self, entry: Phase) -> None:
         self.phase = entry
 
     def __enter__(self) -> None:
@@ -239,7 +230,6 @@ class _IdleBlock:
 
 
 _IDLE = {name: _IdleBlock(entry) for name, entry in PHASES.items()}
-_NOOP_SPAN = _IdleBlock(None)
 _NO_LABELS: Dict[str, object] = {}
 
 

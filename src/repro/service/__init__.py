@@ -35,7 +35,6 @@ from repro.service.auth import ApiKeyAuthority, ApiKeyClaims
 from repro.service.background import BackgroundMonitor
 from repro.service.client import ServiceClient, ServiceHTTPError, ServiceResponse
 from repro.service.core import (
-    AUDIT_OBJECT,
     ProvenanceService,
     ServiceConfig,
     TenantWorld,
@@ -48,7 +47,6 @@ __all__ = [
     "ApiKeyAuthority",
     "ApiKeyClaims",
     "BackgroundMonitor",
-    "AUDIT_OBJECT",
     "ProvenanceService",
     "ServiceConfig",
     "TenantWorld",

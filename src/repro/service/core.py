@@ -30,25 +30,24 @@ of the queue commits every request queued when its commit began, so
 concurrent writes share one seal and one store transaction while each
 reply carries only its own records.  A failed commit fails every queued
 request; they are rolled back, newest first, before the next write
-stages.  Writes never wait for a verify.  A verify pins, under the lock,
-its target's state and the newest queued write of it, waits without the
-lock until that write has committed, reads the closure cut at the pinned
-record and checks it without the lock; its ``VERIFY`` record is then an
-ordinary write at the tail of the queue.  So its answer (a 404 included)
-never depends on an uncommitted write, nor on a write staged after it.
+stages.  Writes never wait for a verify.  A verify is a read: it pins,
+under the lock, its target's state and the newest queued write of it,
+waits without the lock until that write has committed, reads the closure
+cut at the pinned record and checks it without the lock.  So its answer
+(a 404 included) never depends on an uncommitted write, nor on a write
+staged after it, and it stores nothing.
 
 **Isolation.**  A tenant is addressed only through its API key's tenant
 claim — there is no request surface that names another tenant's world —
 and each world owns private stores, so cross-tenant reads or writes are
 impossible by construction rather than by filtering.
 
-Every verification call appends a ``VERIFY`` provenance record to the
-tenant's audit chain (object :data:`AUDIT_OBJECT`): verification itself
-is an event worth notarizing — "who looked, and what did they see" —
-exactly the queryable record-of-how-data-came-to-be that Cheney et al.'s
-*Provenance Traces* framing asks for.  The audit record is signed and
-chained like any other record, so tampering with the audit trail is as
-evident as tampering with the data it audits.
+A verify is reported, not recorded: by the ``verify.report`` event and
+the ``service.verifications{ok}`` counter.  Each tenant world checks its
+shipments with one :class:`~repro.core.verifier.Verifier`, whose memo of
+checked Merkle roots lasts as long as the world, so a seal the tenant has
+already checked costs no RSA operation on a later verify while the memo
+holds it.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.core.collector import StagedWrite
 from repro.core.shipment import Shipment
 from repro.core.system import ParticipantSession, TamperEvidentDatabase
+from repro.core.verifier import Verifier
 from repro.crypto.pki import CertificateAuthority, KeyStore
 from repro.crypto.signatures import MERKLE_BATCH_SCHEME
 from repro.exceptions import ServiceError, TransientStoreError, UnknownObjectError
@@ -78,15 +78,11 @@ if TYPE_CHECKING:  # pragma: no cover — service stays import-light
     from repro.faults.plan import FaultPlan
 
 __all__ = [
-    "AUDIT_OBJECT",
     "ServiceConfig",
     "TenantWorld",
     "ProvenanceService",
     "canonical_json",
 ]
-
-#: Object id of each tenant's verification audit chain.
-AUDIT_OBJECT = "~audit"
 
 
 def canonical_json(payload: Dict[str, object]) -> bytes:
@@ -230,6 +226,10 @@ class TenantWorld:
         #: certificate set is final and verify calls skip re-validating
         #: the CA signatures on every request.
         self.keystore: KeyStore = self.db.keystore()
+        #: Checks every served verify's shipment.  Its memo of checked
+        #: Merkle roots lives as long as the world; concurrent verifies
+        #: share it without the world lock (see :class:`Verifier`).
+        self.verifier = Verifier(self.keystore)
         #: Staged requests in staging order; the head commits next.
         self._queue: List[_Queued] = []
         #: Guards the queue; waiters for a turn or an outcome wait on it.
@@ -601,7 +601,8 @@ class ProvenanceService:
         raise ServiceError(f"unknown operation {op!r}")
 
     def verify(self, tenant_id: str, object_id: str) -> Dict[str, object]:
-        """Verify one object as a recipient would; notarize the act.
+        """Verify one object as a recipient would; a read that stores
+        nothing.
 
         Under the world lock the verify pins the object's snapshot, its
         newest staged seq id and the newest queued request holding one of
@@ -610,19 +611,17 @@ class ProvenanceService:
         until that request has committed, and answers 404 only then, so
         its answer never depends on an uncommitted write.  It reads the
         closure of the pinned record, so a write staged after the pin
-        does not show, checks the shipment without the lock, and stages
-        and commits its ``VERIFY`` record like any write before it
-        returns.  It holds no write back.
+        does not show, and checks the shipment without the lock with the
+        world's verifier.  It holds no write back.
 
         The check runs serially in this process, whatever the caller
         sends: a closure holds a few records, far below the process
         pool's gate, and a caller choosing how many processes the server
         forks could stall the tenant at will.
 
-        The response carries only deterministic report fields (no audit
-        sequence numbers, no timings): under concurrent load the audit
-        chain's interleaving is scheduling-dependent, but this payload —
-        for a client whose objects are its own — is not.
+        The response carries only deterministic report fields (no
+        timings), so for a client whose objects are its own it does not
+        depend on concurrent load.
 
         Raises:
             TransientStoreError: If the write it waited on failed to
@@ -645,9 +644,9 @@ class ProvenanceService:
             shipment = Shipment.build(
                 world.db, object_id, snapshot, None if tail is None else tail.seq_id
             )
-        report = shipment.verify(world.keystore)
-        _, queued = world.stage(lambda: self._append_audit(world, object_id, report))
-        world.commit(queued)
+        report = world.verifier.verify(
+            shipment.snapshot, shipment.records, shipment.target_id
+        )
         if OBS.enabled:
             OBS.registry.counter(
                 "service.verifications", ok=str(report.ok).lower()
@@ -668,23 +667,6 @@ class ProvenanceService:
             "failure_tally": report.failure_tally(),
             "summary": report.summary(),
         }
-
-    def _append_audit(self, world: TenantWorld, object_id: str, report) -> None:
-        """Stage the VERIFY record on the tenant's audit chain."""
-        outcome = json.dumps(
-            {
-                "verify": object_id,
-                "ok": report.ok,
-                "records": report.records_checked,
-                "tally": report.failure_tally(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        if AUDIT_OBJECT in world.db.store:
-            world.session.update(AUDIT_OBJECT, outcome, note="VERIFY")
-        else:
-            world.session.insert(AUDIT_OBJECT, outcome, note="VERIFY")
 
     def lineage(self, tenant_id: str, object_id: str) -> Dict[str, object]:
         """Lineage summary of one object (ancestry through aggregations)."""

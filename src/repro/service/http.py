@@ -12,8 +12,8 @@ Routes (all bodies and responses are JSON):
 POST   /v1/record                   apply one primitive (insert/update/
                                     delete/aggregate) with provenance
 POST   /v1/batch                    several mutations as one complex op
-POST   /v1/verify                   verify an object; appends a VERIFY
-                                    record on the tenant's audit chain
+POST   /v1/verify                   verify an object as a recipient
+                                    would; a read that stores nothing
 GET    /v1/objects                  object ids with provenance
 GET    /v1/provenance/<object_id>   the object's record chain
 GET    /v1/lineage/<object_id>      lineage summary (ancestry/DAG shape)

@@ -104,7 +104,7 @@ class TestEventLog:
     def test_trace_id_attached_when_tracing(self, obs_enabled):
         log = obs.enable_events()
         try:
-            with obs.span("outer"):
+            with obs.OBS.tracer.span("outer"):
                 log.emit("inside")
             log.emit("outside")
             inside, outside = log.ring.events()

@@ -157,18 +157,6 @@ class TestRender:
 
 
 class TestModuleHelpers:
-    def test_span_is_noop_when_disabled(self, obs_disabled):
-        handle = obs.span("anything")
-        assert handle is obs.span("other")  # the shared no-op instance
-        with handle:
-            pass
-        assert obs.OBS.tracer.traces == []
-
-    def test_span_records_when_enabled(self, obs_enabled):
-        with obs.span("x", a=1):
-            pass
-        assert obs.OBS.tracer.last_trace().name == "x"
-
     def test_worker_config_none_when_disabled(self, obs_disabled):
         assert obs.worker_config() is None
 

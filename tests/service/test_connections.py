@@ -21,7 +21,6 @@ import pytest
 
 from repro.service import ServiceClient
 from repro.service import client as client_module
-from repro.service.core import AUDIT_OBJECT
 from repro.service.http import _RequestHandler
 
 
@@ -113,7 +112,7 @@ class TestKeepAlive:
         assert sorted(replies[5][1]["objects"]) == ["a", "b", "c"]
         assert replies[11][1]["ok"] and replies[18][1]["ok"]
         assert [r["seq_id"] for r in replies[17][1]["records"]] == [0, 1]
-        assert sorted(replies[19][1]["objects"]) == ["a", "b", "c", AUDIT_OBJECT]
+        assert sorted(replies[19][1]["objects"]) == ["a", "b", "c"]
         assert elapsed < 0.4, f"20 requests took {elapsed * 1e3:.0f} ms"
 
     def test_one_client_reuses_one_connection(self, server, tenant_client, monkeypatch):

@@ -1,11 +1,11 @@
-"""ProvenanceService core: operations, audit chain, tenant determinism."""
+"""ProvenanceService core: operations, verify as a read, tenant determinism."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ServiceError, UnknownObjectError
-from repro.service import AUDIT_OBJECT, ProvenanceService, canonical_json
+from repro.service import ProvenanceService, canonical_json
 from repro.service.core import ServiceConfig
 
 from tests.service.conftest import make_config
@@ -88,35 +88,43 @@ class TestOperations:
 
 
 class TestAuditChain:
-    def test_every_verify_appends_a_verify_record(self, service):
-        service.record("acme", "insert", "doc", value="v0")
-        assert AUDIT_OBJECT not in service.objects("acme")["objects"]
-        service.verify("acme", "doc")
-        service.verify("acme", "doc")
-        chain = service.provenance("acme", AUDIT_OBJECT)["records"]
-        assert [r["seq_id"] for r in chain] == [0, 1]
-
-    def test_audit_records_are_signed_and_verifiable(self, service):
-        service.record("acme", "insert", "doc", value="v0")
-        service.verify("acme", "doc")
-        audit_report = service.verify("acme", AUDIT_OBJECT)
-        assert audit_report["ok"] is True
-
-    def test_audit_notes_name_the_target(self, service):
-        service.record("acme", "insert", "doc", value="v0")
-        service.verify("acme", "doc")
-        world = service.world("acme")
-        record = world.store.latest(AUDIT_OBJECT)
-        assert record.note == "VERIFY"
-        assert '"verify":"doc"' in world.db.store.get(AUDIT_OBJECT).value
-
     def test_verify_response_is_not_perturbed_by_the_audit_append(self, service):
-        # The VERIFY record lands on the audit chain, not the data chain:
-        # verifying twice yields byte-identical reports.
+        # A verify is a read: it stores nothing, so verifying twice
+        # yields byte-identical reports and leaves the tenant unchanged.
         service.record("acme", "insert", "doc", value="v0")
         first = canonical_json(service.verify("acme", "doc"))
         second = canonical_json(service.verify("acme", "doc"))
         assert first == second
+        assert service.objects("acme")["objects"] == ["doc"]
+        assert len(list(service.world("acme").store.all_records())) == 1
+
+
+class TestVerifyMemo:
+    def test_a_second_verify_of_an_unchanged_object_makes_no_rsa_verify(
+        self, service, monkeypatch
+    ):
+        """The tenant world's verifier remembers the seals it checked."""
+        from repro.crypto.signatures import RSASignatureVerifier
+
+        service.record("acme", "insert", "doc", value="v0")
+        service.record("acme", "update", "doc", value="v1")
+        calls = []
+        original = RSASignatureVerifier.verify
+
+        def counted(verifier, message, signature):
+            calls.append(message)
+            return original(verifier, message, signature)
+
+        monkeypatch.setattr(RSASignatureVerifier, "verify", counted)
+        first = service.verify("acme", "doc")
+        assert first["ok"] and len(calls) == 2  # one root per commit
+        del calls[:]
+        assert service.verify("acme", "doc") == first
+        assert calls == []
+        # A new seal is checked once, the old ones not again.
+        service.record("acme", "update", "doc", value="v2")
+        assert service.verify("acme", "doc")["records_checked"] == 3
+        assert len(calls) == 1
 
 
 class TestDeterminism:
@@ -261,13 +269,38 @@ class TestRestart:
 
         stored, status = serve(before)
         assert status == 200
-        assert max(stored.values()) >= 4
+        assert max(stored.values()) == 3  # three inserts and a batch
         reopened, status = serve(after)
         assert status == 200
         new = {key: epoch for key, epoch in reopened.items() if key not in stored}
         assert {key: reopened[key] for key in stored} == stored
-        assert len(new) == 3  # y, z and the second VERIFY record
+        assert len(new) == 2  # y and z: a verify stores nothing
         assert min(new.values()) > max(stored.values())
+
+    def test_an_earlier_builds_audit_chain_stays_an_ordinary_object(self, tmp_path):
+        """Earlier builds stored a ``VERIFY`` note per served verify on
+        the object ``~audit``.  A durable store holding such a chain
+        reopens with it as an ordinary object, and it still audits clean."""
+        config = make_config(store_root=str(tmp_path))
+        earlier = ProvenanceService(config)
+        try:
+            earlier.record("acme", "insert", "doc", value="v0")
+            for op in ("insert", "update"):
+                note = '{"ok":true,"records":1,"tally":{},"verify":"doc"}'
+                earlier.record("acme", op, "~audit", value=note, note="VERIFY")
+        finally:
+            earlier.close()
+        reopened = ProvenanceService(config)
+        try:
+            assert reopened.objects("acme")["objects"] == ["doc", "~audit"]
+            chain = reopened.provenance("acme", "~audit")["records"]
+            assert [r["seq_id"] for r in chain] == [0, 1]
+            payload, tampered = reopened.healthz(full=True)
+            assert not tampered
+            assert payload["tenants"]["acme"]["health"] == "ok"
+            assert payload["tenants"]["acme"]["verified"] == 3
+        finally:
+            reopened.close()
 
 
     def test_opening_one_tenant_holds_up_no_other(self, monkeypatch):

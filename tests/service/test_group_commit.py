@@ -9,18 +9,15 @@ What the pipeline must hold, each pinned below:
   of the same tenant complete;
 - a verify pins its target's state and waits for the newest queued
   write of the target (of any object, if the target does not exist),
-  and for nothing else: another verify's ``VERIFY`` record holds back
-  only a verify of the audit chain.  A 404 comes only after that wait;
-  its own ``VERIFY`` record is committed before it answers;
+  and for nothing else.  A 404 comes only after that wait, and a verify
+  stores nothing;
 - a verify reports the state it pinned, even when a later update of its
   target commits before it reads;
 - no write waits for a verify, not even while the verify checks its
   shipment;
-- a verify whose pinned write fails to commit answers a transient error
-  and stores no ``VERIFY`` record;
+- a verify whose pinned write fails to commit answers a transient error;
 - a commit that fails past the retry budget fails its group and every
-  write staged after it — a ``VERIFY`` record staged while the failure
-  is under way included: all answered 503, undone, nothing stored, and
+  write staged after it: all answered 503, undone, nothing stored, and
   a retry succeeds;
 - a write that fails while staging is undone without unchaining the
   earlier writes still to commit;
@@ -44,10 +41,11 @@ import pytest
 
 from repro.core.collector import TRANSIENT_STORE_ERRORS
 from repro.core.shipment import Shipment
+from repro.core.verifier import Verifier
 from repro.crypto.signatures import MerkleBatchSignatureScheme
 from repro.exceptions import TransientStoreError, UnknownObjectError
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
-from repro.service import AUDIT_OBJECT, ProvenanceService, ServiceClient, signers
+from repro.service import ProvenanceService, ServiceClient, signers
 from repro.service.core import TenantWorld
 from repro.service.signers import PooledRSASignatureScheme
 
@@ -246,9 +244,6 @@ def test_verify_waits_for_a_pending_update(monkeypatch):
             report = verify.result(TIMEOUT)
         assert pins.reads == [("x", 1)]
         assert report["ok"] and report["records_checked"] == 2
-        # The VERIFY record was committed before the verify answered.
-        audit = world.store.records_for(AUDIT_OBJECT)
-        assert [r.note for r in audit] == ["VERIFY"]
         assert len(world._queue) == 0
     finally:
         hold.release()
@@ -307,7 +302,6 @@ def test_verify_of_an_object_whose_delete_is_pending_waits_then_404s(monkeypatch
             with pytest.raises(UnknownObjectError):
                 verify.result(TIMEOUT)
         assert pins.reads == []
-        assert AUDIT_OBJECT not in world.store.object_ids()
     finally:
         hold.release()
         service.close()
@@ -347,62 +341,19 @@ def test_a_verify_reports_the_state_it_pinned(monkeypatch):
         service.close()
 
 
-def test_a_verify_reads_while_another_verifys_record_commits(monkeypatch):
-    """A VERIFY record touches only the audit chain, so a verify of any
-    other object pins no write and reads while it commits (its own record
-    still commits after it); a verify of the chain itself waits for the
-    newest record of it."""
-    hold = Hold(monkeypatch)
-    pins = Pins(monkeypatch)
-    service = pooled_service(monkeypatch)
-    try:
-        service.record(TENANT, "insert", "a", 1)
-        service.record(TENANT, "insert", "b", 2)
-        world = service.world(TENANT)
-        hold.arm()
-        with ThreadPoolExecutor(3) as pool:
-            first = in_thread(pool, service.verify, TENANT, "a")
-            hold.wait_held()  # the first verify's VERIFY record
-            second = in_thread(pool, service.verify, TENANT, "b")
-            wait_for(
-                lambda: world.db.collector.tail(AUDIT_OBJECT).seq_id == 1,
-                "the second verify to read and stage its record",
-            )
-            assert pins.waits == [] and pins.reads == [("a", 0), ("b", 0)]
-            with world.lock:  # held by the second verify until it is queued
-                pending = world.newest(AUDIT_OBJECT)
-            of_audit = in_thread(pool, service.verify, TENANT, AUDIT_OBJECT)
-            pins.wait_pinned()
-            assert pins.waits == [pending]
-            time.sleep(0.05)
-            assert not of_audit.done() and len(pins.reads) == 2, (
-                "read the audit chain before it committed"
-            )
-            hold.release()
-            replies = [f.result(TIMEOUT) for f in (first, second, of_audit)]
-        assert all(reply["ok"] for reply in replies)
-        # Both VERIFY records before it were committed when it read.
-        assert pins.reads[2] == (AUDIT_OBJECT, 1)
-        assert replies[2]["records_checked"] == 2
-        assert [r.seq_id for r in world.store.records_for(AUDIT_OBJECT)] == [0, 1, 2]
-    finally:
-        hold.release()
-        service.close()
-
-
 def test_a_write_commits_while_a_verify_checks_its_shipment(monkeypatch):
     """A verify holds no write back: while it checks its shipment, an
     update of the very object it verifies stages and commits."""
     checking = threading.Event()
     released = threading.Event()
-    original = Shipment.verify
+    original = Verifier.verify
 
-    def held_verify(shipment, *args, **kwargs):
+    def held_verify(verifier, *args, **kwargs):
         checking.set()
         assert released.wait(TIMEOUT), "the check was never released"
-        return original(shipment, *args, **kwargs)
+        return original(verifier, *args, **kwargs)
 
-    monkeypatch.setattr(Shipment, "verify", held_verify)
+    monkeypatch.setattr(Verifier, "verify", held_verify)
     service = ProvenanceService(make_config())
     try:
         service.record(TENANT, "insert", "a", 1)
@@ -450,10 +401,8 @@ def test_a_verify_whose_pinned_write_fails_answers_a_transient_error(monkeypatch
                 update.result(TIMEOUT)
             with pytest.raises(TransientStoreError):
                 verify.result(TIMEOUT)
-        # It read nothing and stored no VERIFY record.
+        # It read nothing.
         assert pins.reads == []
-        assert world.store.records_for(AUDIT_OBJECT) == ()
-        assert AUDIT_OBJECT not in world.db.store
         assert len(world._queue) == 0
         # The update was rolled back; a retried verify sees the insert.
         report = service.verify(TENANT, "x")
@@ -517,97 +466,6 @@ def test_failed_commit_fails_its_group_and_every_later_write(monkeypatch, server
             assert client.healthz().status == 200
     finally:
         hold.release()
-
-
-class PausingTurns(threading.Condition):
-    """A commit-queue condition that holds one thread, the next time it
-    enters it after :meth:`arm`, until :meth:`resume`."""
-
-    def __init__(self):
-        super().__init__()
-        self.thread = None
-        self.paused = threading.Event()
-        self.resumed = threading.Event()
-
-    def arm(self) -> None:
-        self.thread = threading.current_thread()
-
-    def __enter__(self):
-        if self.thread is threading.current_thread():
-            self.thread = None
-            self.paused.set()
-            assert self.resumed.wait(TIMEOUT), "never resumed"
-        return super().__enter__()
-
-    def resume(self) -> None:
-        self.resumed.set()
-
-
-@pytest.mark.parametrize("earlier_verifies", (0, 1), ids=("insert", "update"))
-def test_a_verify_record_staged_during_a_failing_commit_fails_with_it(
-    monkeypatch, earlier_verifies
-):
-    """The second verify stages its ``VERIFY`` record on the pending
-    record of the first, whose commit then fails past its retries.  The
-    second record chains on the failed one, so it must fail and be undone
-    with it — even when the failure comes between staging the record and
-    queueing it."""
-    failing_commit = 2 + earlier_verifies  # after the inserts and verifies
-    plan = FaultPlan(seed=3, rules=(FaultRule(
-        site="store.append_many", kind=FaultKind.ERROR,
-        indices=frozenset(range(failing_commit, failing_commit + 3)),
-    ),))
-    hold = Hold(monkeypatch)
-    pause = threading.Event()
-    original = TenantWorld._deferred
-    service = pooled_service(monkeypatch, faults=plan, retry_backoff=0.0)
-    world = service.world(TENANT)
-    world._turns = turns = PausingTurns()
-
-    def deferred(world, apply):
-        result = original(world, apply)
-        if pause.is_set():  # the second verify staged its record
-            pause.clear()
-            turns.arm()  # hold it where it next enters the queue
-        return result
-
-    monkeypatch.setattr(TenantWorld, "_deferred", deferred)
-    try:
-        service.record(TENANT, "insert", "a", 1)
-        service.record(TENANT, "insert", "b", 2)
-        for _ in range(earlier_verifies):
-            assert service.verify(TENANT, "a")["ok"]
-        hold.arm()
-        with ThreadPoolExecutor(2) as pool:
-            first = in_thread(pool, service.verify, TENANT, "a")
-            hold.wait_held()  # the first verify's VERIFY record
-            pause.set()
-            second = in_thread(pool, service.verify, TENANT, "b")
-            assert turns.paused.wait(TIMEOUT), "the second verify never staged"
-            hold.release()
-            # The first commit fails and takes the world lock to roll back;
-            # let it run as far as it can while the second verify is held.
-            wait([first], timeout=1.0)
-            turns.resume()
-            for future in (first, second):
-                with pytest.raises(TRANSIENT_STORE_ERRORS):
-                    future.result(TIMEOUT)
-        # Both records undone, newest first; neither stored.
-        assert len(world._queue) == 0
-        stored = [r.seq_id for r in world.store.records_for(AUDIT_OBJECT)]
-        assert stored == list(range(earlier_verifies))
-        assert (AUDIT_OBJECT in world.db.store) == bool(earlier_verifies)
-        # The audit chain's engine state matches its stored tail, so the
-        # next VERIFY record stages and the chain verifies.
-        assert service.verify(TENANT, "a")["ok"]
-        report = service.verify(TENANT, AUDIT_OBJECT)
-        assert report["ok"] and report["records_checked"] == earlier_verifies + 1
-        payload, tampered = service.healthz(full=True)
-        assert not tampered and payload["health"] == "ok"
-    finally:
-        turns.resume()
-        hold.release()
-        service.close()
 
 
 def test_a_write_that_fails_to_stage_leaves_earlier_pending_writes_chained(monkeypatch):
